@@ -18,8 +18,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import linalg, prox
 from .admm import ChainProblem, SolverConfig, solve
-from .exceptions import NotPositiveDefiniteError, NumericalFailureError, \
-    UnboundedProblemError
+from .exceptions import NumericalFailureError, UnboundedProblemError
 
 
 class Penalty(str, Enum):
@@ -284,17 +283,17 @@ def _build_mean_problem(samples, sigma, lam, penalty, rho):
 
 
 def _trailing_gram_average(samples, window):
+    # Mean of the outer products of samples max(0, i-window+1)..i: a
+    # running mean over the first window samples, then prefix-sum
+    # differences.
     outers = np.einsum("ij,ik->ijk", samples, samples)
     if window == 1:
         return outers
     csum = np.cumsum(outers, axis=0)
     grams = np.empty_like(outers)
-    n = samples.shape[0]
-    for i in range(n):
-        if i < window:
-            grams[i] = csum[i] / (i + 1)
-        else:
-            grams[i] = (csum[i] - csum[i - window]) / window
+    head = min(window, samples.shape[0])
+    grams[:head] = csum[:head] / np.arange(1.0, head + 1.0)[:, None, None]
+    grams[window:] = (csum[window:] - csum[:-window]) / window
     return grams
 
 
@@ -303,26 +302,25 @@ def _check_variance_bounded(grams, lam):
     # matrix is singular: per block for lam = 0 (blocks decouple), or the
     # pooled matrix for lam > 0 (grow every block along a common null
     # direction at zero coupling cost).
-    def is_singular(mat):
-        evals = linalg.sym_eig(mat).eigenvalues
-        top = float(evals[-1])
-        return top <= 0.0 or float(evals[0]) <= 1e-10 * top
+    def singular(mats):
+        evals = np.linalg.eigvalsh(mats)
+        top = evals[..., -1]
+        return (top <= 0.0) | (evals[..., 0] <= 1e-10 * top)
 
     if lam == 0.0:
-        for i in range(grams.shape[0]):
-            if is_singular(grams[i]):
-                raise UnboundedProblemError(
-                    "data matrix at sample %d is singular, so its block "
-                    "subproblem is unbounded below with lambda = 0; "
-                    "increase lambda or use a window > 1" % i
-                )
-    else:
-        if is_singular(grams.mean(axis=0)):
+        bad = np.flatnonzero(singular(grams))
+        if bad.size:
             raise UnboundedProblemError(
-                "pooled data matrix is singular, so the objective is "
-                "unbounded below for every lambda; use a window > 1 or "
-                "more samples"
+                "data matrix at sample %d is singular, so its block "
+                "subproblem is unbounded below with lambda = 0; "
+                "increase lambda or use a window > 1" % bad[0]
             )
+    elif singular(grams.mean(axis=0)):
+        raise UnboundedProblemError(
+            "pooled data matrix is singular, so the objective is "
+            "unbounded below for every lambda; use a window > 1 or "
+            "more samples"
+        )
 
 
 def variance_filter(data, spec, config=None, threads=1):
@@ -346,24 +344,30 @@ def variance_filter(data, spec, config=None, threads=1):
     problem = _build_variance_problem(grams, spec, rho)
     report = solve(problem, config, threads=threads)
 
-    precision = np.empty((n_samples, dim, dim))
-    covariance = np.empty_like(precision)
-    eye = np.eye(dim)
-    for i in range(n_samples):
-        mat = report.x_star[i].reshape(dim, dim)
-        mat = 0.5 * (mat + mat.T)
-        try:
-            factor = linalg.spd_factor(mat)
-        except NotPositiveDefiniteError as exc:
-            raise NumericalFailureError(
-                "inverse-covariance estimate at block %d is not positive "
-                "definite (pivot %d); tighten tolerances" % (i, exc.pivot_index),
-                block_index=i,
-            ) from exc
-        precision[i] = mat
-        inv = linalg.spd_solve(factor, eye)
-        covariance[i] = 0.5 * (inv + inv.T)
+    # tol=inf folds away whatever rounding asymmetry the solve left;
+    # only non-finite entries are rejected.
+    precision = linalg.symmetrize(report.x_star.reshape(n_samples, dim, dim),
+                                  tol=np.inf)
+    try:
+        np.linalg.cholesky(precision)
+    except np.linalg.LinAlgError as exc:
+        bad = _first_not_positive_definite(precision)
+        raise NumericalFailureError(
+            "inverse-covariance estimate at block %d is not positive "
+            "definite; tighten tolerances" % bad,
+            block_index=bad,
+        ) from exc
+    covariance = linalg.symmetrize(np.linalg.inv(precision), tol=np.inf)
     return VarianceEstimate(precision=precision, covariance=covariance), report
+
+
+def _first_not_positive_definite(mats):
+    # The batched factorization only reports that some matrix failed.
+    for i, mat in enumerate(mats):
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            return i
 
 
 def _build_variance_problem(grams, spec, rho):
@@ -378,15 +382,8 @@ def _build_variance_problem(grams, spec, rho):
         return x.reshape(flat_dim)
 
     def phi_batch(targets, rho_k):
-        if dim == 1:
-            lam_e = rho_k * targets[:, 0] - scalar_gram
-            return prox._mu_from_eigenvalues(lam_e, rho_k)[:, None]
-        out = np.empty_like(targets)
-        for i in range(n_samples):
-            out[i] = prox.prox_neg_logdet_gram(
-                targets[i].reshape(dim, dim), grams[i], rho_k
-            ).reshape(flat_dim)
-        return out
+        x = prox.prox_neg_logdet_gram(targets.reshape(n_samples, dim, dim), grams, rho_k)
+        return x.reshape(n_samples, flat_dim)
 
     def psi(i, target, rho_k):
         kappa = lam / rho_k
@@ -408,16 +405,13 @@ def _build_variance_problem(grams, spec, rho):
             quad = float((x * scalar_gram).sum())
             logdet = float(np.log(x).sum())
         else:
-            quad = 0.0
-            logdet = 0.0
-            for i in range(n_samples):
-                mat = x_blocks[i].reshape(dim, dim)
-                try:
-                    factor = linalg.spd_factor(0.5 * (mat + mat.T))
-                except (NotPositiveDefiniteError, ValueError):
-                    return np.inf
-                quad += float((mat * grams[i]).sum())
-                logdet += linalg.spd_logdet(factor)
+            mats = x_blocks.reshape(n_samples, dim, dim)
+            try:
+                factor = np.linalg.cholesky(linalg.symmetrize(mats, tol=np.inf))
+            except (ValueError, np.linalg.LinAlgError):
+                return np.inf
+            quad = float((mats * grams).sum())
+            logdet = linalg.spd_logdet(factor)
         if r_blocks.shape[0] == 0:
             pen = 0.0
         elif grouped:

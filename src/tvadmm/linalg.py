@@ -1,8 +1,10 @@
 """Small dense symmetric linear algebra: eigendecomposition and SPD solves.
 
-Everything here targets the small block dimensions (n up to a few tens)
-that appear in the per-block subproblems; none of it is meant to compete
-with a tuned LAPACK for large matrices.
+``sym_eig`` and ``symmetrize`` take one matrix or a stack (..., n, n) and
+hand the work to LAPACK through :mod:`numpy.linalg`, so a whole sequence
+of per-block matrices costs one call. ``spd_factor`` and ``spd_solve``
+are a plain Cholesky factorization and triangular solve for one small
+matrix; the factorization reports the pivot that failed.
 """
 
 from dataclasses import dataclass
@@ -12,11 +14,6 @@ import numpy as np
 
 from .exceptions import NotPositiveDefiniteError, NumericalFailureError
 
-# Cyclic Jacobi parameters: sweep budget and the off-diagonal Frobenius
-# threshold, relative to ||A||_F.
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_TOL = 1e-12
-
 # Inputs with max |A - A^T| above this are rejected rather than silently
 # symmetrized.
 _ASYM_TOL = 1e-12
@@ -24,7 +21,7 @@ _ASYM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix.
+    """Eigendecomposition of a symmetric matrix (or of each matrix of a stack).
 
     ``eigenvalues`` are sorted ascending; column k of ``eigenvectors``
     pairs with ``eigenvalues[k]``. Each eigenvector is normalized so its
@@ -38,133 +35,65 @@ class EigenDecomposition:
 def symmetrize(a, tol=_ASYM_TOL):
     """Return (A + A^T)/2 after checking A is square, finite and symmetric.
 
-    Asymmetry up to ``tol`` (max absolute entry of A - A^T) is folded away;
-    anything larger raises ``ValueError`` instead of being silently fixed.
+    ``a`` may be one (n, n) matrix or a stack (..., n, n); the checks
+    cover every matrix of the stack. Asymmetry up to ``tol`` (max absolute
+    entry of A - A^T) is folded away; anything larger raises
+    ``ValueError`` instead of being silently fixed.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
-    if a.shape[0] < 1:
+    if a.shape[-1] < 1:
         raise ValueError("matrix dimension must be >= 1")
     if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
-    asym = np.abs(a - a.T).max() if a.size else 0.0
+    a_t = np.swapaxes(a, -1, -2)
+    asym = np.abs(a - a_t).max() if a.size else 0.0
     if asym > tol:
         raise ValueError(
             "matrix is not symmetric: max |A - A^T| = %.3g exceeds %.3g" % (asym, tol)
         )
-    return 0.5 * (a + a.T)
-
-
-def _offdiag_norm(a):
-    """Frobenius norm of the off-diagonal part, summed directly so it can
-    reach the rounding floor (a "total minus diagonal" formulation would
-    cancel catastrophically)."""
-    masked = a.copy()
-    np.fill_diagonal(masked, 0.0)
-    return math.sqrt((masked * masked).sum())
+    return 0.5 * (a + a_t)
 
 
 def sym_eig(a):
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd`` via
+    :func:`numpy.linalg.eigh`).
 
     Parameters
     ----------
-    a : (n, n) array_like
-        Symmetric matrix with finite entries.
+    a : (n, n) or (..., n, n) array_like
+        Symmetric matrix, or a stack of them, with finite entries.
 
     Returns
     -------
     EigenDecomposition
-        Ascending eigenvalues and the orthogonal matrix of eigenvectors.
+        Ascending eigenvalues and the orthogonal matrix of eigenvectors
+        (stacked like the input).
 
     Raises
     ------
     ValueError
         If the input is not square, finite and symmetric.
     NumericalFailureError
-        If the off-diagonal mass has not dropped below the tolerance
-        within the sweep budget; carries the residual achieved.
+        If LAPACK reports that the eigensolver did not converge.
     """
     work = symmetrize(a)
-    n = work.shape[0]
-    vecs = np.eye(n)
-    scale = np.sqrt((work * work).sum())
-    target = _JACOBI_TOL * scale
-
-    if n > 1:
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            if _offdiag_norm(work) <= target:
-                break
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    _jacobi_rotate(work, vecs, p, q)
-        else:
-            off = _offdiag_norm(work)
-            if off > target:
-                raise NumericalFailureError(
-                    "Jacobi eigensolver did not converge in %d sweeps "
-                    "(off-diagonal %.3g, target %.3g)"
-                    % (_JACOBI_MAX_SWEEPS, off, target),
-                    residual=off,
-                )
-
-    eigvals = np.diag(work).copy()
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    vecs = vecs[:, order]
+    try:
+        eigvals, vecs = np.linalg.eigh(work)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError("LAPACK eigensolver did not converge: %s" % exc) \
+            from exc
     _fix_signs(vecs)
     return EigenDecomposition(eigenvalues=eigvals, eigenvectors=vecs)
 
 
-def _jacobi_rotate(a, v, p, q):
-    """Apply one Givens rotation zeroing a[p, q], updating a and v in place."""
-    apq = a[p, q]
-    if apq == 0.0:
-        return
-    app = a[p, p]
-    aqq = a[q, q]
-    tau = (aqq - app) / (2.0 * apq)
-    # Smaller-magnitude root of t^2 + 2*tau*t - 1 = 0 for stability; the
-    # huge-tau branch avoids overflow in tau*tau.
-    if abs(tau) > 1e150:
-        t = 0.5 / tau
-    elif tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-    else:
-        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    # Exact values on the rotated 2x2 block.
-    a[p, p] = app - t * apq
-    a[q, q] = aqq + t * apq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s * vec_q
-    v[:, q] = s * vec_p + c * vec_q
-
-
 def _fix_signs(vecs, tol=1e-12):
-    """Flip eigenvector columns so the first nonzero component is >= 0."""
-    n = vecs.shape[0]
-    for k in range(vecs.shape[1]):
-        for i in range(n):
-            if abs(vecs[i, k]) > tol:
-                if vecs[i, k] < 0.0:
-                    vecs[:, k] = -vecs[:, k]
-                break
+    """Flip eigenvector columns so the first component above ``tol`` in
+    magnitude is positive."""
+    first = np.argmax(np.abs(vecs) > tol, axis=-2)
+    lead = np.take_along_axis(vecs, first[..., None, :], axis=-2)
+    vecs *= np.where(lead < 0.0, -1.0, 1.0)
 
 
 def spd_factor(a):
@@ -177,6 +106,8 @@ def spd_factor(a):
         zero-based pivot index.
     """
     a = symmetrize(a)
+    if a.ndim != 2:
+        raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
     n = a.shape[0]
     lower = np.zeros_like(a)
     for j in range(n):
@@ -224,5 +155,9 @@ def spd_inverse(a):
 
 
 def spd_logdet(factor):
-    """log det A from the Cholesky factor of A."""
-    return 2.0 * float(np.log(np.diag(factor)).sum())
+    """log det A from the Cholesky factor of A.
+
+    For a stack of factors (..., n, n) this is the sum of the stack's
+    log-determinants.
+    """
+    return 2.0 * float(np.log(np.diagonal(factor, axis1=-2, axis2=-1)).sum())

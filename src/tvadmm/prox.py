@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .exceptions import NumericalFailureError
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,10 @@ def prox_neg_logdet_gram(v, gram, rho):
     """Same as :func:`prox_neg_logdet` with the trace term Tr(X * gram).
 
     ``gram`` may be any symmetric positive semidefinite matrix (for
-    instance an average of sample outer products).
+    instance an average of sample outer products). ``v`` and ``gram`` may
+    also be stacks (N, n, n) of targets and data matrices; every matrix
+    is then handled independently, with one LAPACK eigendecomposition
+    call over the whole stack, and the result is stacked the same way.
     """
     rho = float(rho)
     if rho <= 0.0:
@@ -177,8 +181,15 @@ def prox_neg_logdet_gram(v, gram, rho):
         raise ValueError(
             "gram shape %s does not match target shape %s" % (gram.shape, v.shape)
         )
-    decomp = linalg.sym_eig(rho * v - gram)
-    mu = _mu_from_eigenvalues(decomp.eigenvalues, rho)
-    q = decomp.eigenvectors
-    x = (q * mu) @ q.T
-    return 0.5 * (x + x.T)
+    shifted = rho * v - gram
+    if shifted.shape[-1] == 1:
+        # 1x1 blocks (scalar series) are their own eigenvalues: skip LAPACK.
+        return _mu_from_eigenvalues(shifted, rho)
+    try:
+        lam, q = np.linalg.eigh(shifted)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(
+            "LAPACK eigensolver did not converge: %s" % exc
+        ) from exc
+    x = (q * _mu_from_eigenvalues(lam, rho)[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return 0.5 * (x + np.swapaxes(x, -1, -2))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from oracles import bisect_lambda_max
-from tvadmm import SolverConfig
-from tvadmm.exceptions import UnboundedProblemError
+from tvadmm import SolverConfig, filters
+from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
     MeanFilterSpec,
     Penalty,
@@ -13,6 +15,7 @@ from tvadmm.filters import (
     segments,
     variance_filter,
     _mean_certificate,
+    _trailing_gram_average,
 )
 
 TIGHT = SolverConfig(eps_abs=1e-10, eps_rel=1e-10, max_iter=200000)
@@ -292,6 +295,36 @@ class TestVarianceFilter:
         data = np.array([[1.0, 1.0], [2.0, 2.0], [-1.0, -1.0]])
         with pytest.raises(UnboundedProblemError):
             variance_filter(data, VarianceFilterSpec(lam=3.0))
+
+    def test_unbounded_reports_first_singular_sample(self):
+        data = np.array([1.0, 2.0, 0.0, 3.0, 0.0])
+        with pytest.raises(UnboundedProblemError, match="at sample 2 "):
+            variance_filter(data, VarianceFilterSpec(lam=0.0))
+
+    @pytest.mark.parametrize("window", [1, 3, 11])
+    def test_trailing_gram_average_matches_windows(self, window):
+        rng = np.random.default_rng(12)
+        samples = rng.normal(size=(11, 3))
+        grams = _trailing_gram_average(samples, window)
+        for i in range(11):
+            block = samples[max(0, i - window + 1):i + 1]
+            direct = block.T @ block / block.shape[0]
+            assert np.abs(grams[i] - direct).max() <= 1e-12
+
+    def test_output_not_positive_definite_names_first_block(self, monkeypatch):
+        solve = filters.solve
+
+        def solve_then_break(problem, *args, **kwargs):
+            report = solve(problem, *args, **kwargs)
+            x_star = report.x_star.copy()
+            x_star[[2, 4]] = [1.0, 2.0, 2.0, 1.0]
+            return replace(report, x_star=x_star)
+
+        monkeypatch.setattr(filters, "solve", solve_then_break)
+        data = np.random.default_rng(13).normal(size=(6, 2))
+        with pytest.raises(NumericalFailureError) as err:
+            variance_filter(data, VarianceFilterSpec(lam=1.0, window=3))
+        assert err.value.block_index == 2
 
     def test_window_bounds_rank_one_case(self):
         rng = np.random.default_rng(10)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tvadmm import linalg
-from tvadmm.exceptions import NotPositiveDefiniteError
+from tvadmm.exceptions import NotPositiveDefiniteError, NumericalFailureError
 
 
 def det_by_hand(a):
@@ -81,15 +81,25 @@ class TestSymEig:
             det = det_by_hand(a)
             assert abs(np.prod(dec.eigenvalues) - det) <= 1e-9 * max(1.0, abs(det))
 
-    def test_matches_numpy_eigvalsh(self):
+    def test_stack_matches_single_calls(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(2, 9))
-            a = rng.normal(size=(n, n))
-            a = 0.5 * (a + a.T)
-            mine = linalg.sym_eig(a).eigenvalues
-            ref = np.linalg.eigvalsh(a)
-            assert np.abs(mine - ref).max() < 1e-9
+        a = rng.normal(size=(6, 3, 3))
+        a = a + np.swapaxes(a, 1, 2)
+        stacked = linalg.sym_eig(a)
+        for k in range(6):
+            single = linalg.sym_eig(a[k])
+            assert np.allclose(stacked.eigenvalues[k], single.eigenvalues,
+                               rtol=0.0, atol=1e-13)
+            assert np.allclose(stacked.eigenvectors[k], single.eigenvectors,
+                               rtol=0.0, atol=1e-13)
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalFailureError):
+            linalg.sym_eig(np.eye(2))
 
 
 class TestSpdFactor:
@@ -104,6 +114,10 @@ class TestSpdFactor:
         with pytest.raises(NotPositiveDefiniteError) as err:
             linalg.spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.pivot_index == 1
+
+    def test_rejects_stack(self):
+        with pytest.raises(ValueError):
+            linalg.spd_factor(np.tile(np.eye(2), (3, 1, 1)))
 
     def test_random_factorization(self):
         rng = np.random.default_rng(5)
@@ -166,3 +180,6 @@ def test_spd_inverse_and_logdet():
     sign, ref = np.linalg.slogdet(a)
     assert sign > 0
     assert abs(linalg.spd_logdet(factor) - ref) < 1e-10
+    # A stack of factors gives the sum of the log-determinants.
+    stack = np.stack([factor, 2.0 * np.eye(5)])
+    assert abs(linalg.spd_logdet(stack) - (ref + 5.0 * np.log(4.0))) < 1e-10

@@ -1,7 +1,10 @@
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
 from tvadmm import prox
+from tvadmm.exceptions import NumericalFailureError
 
 
 def random_spd(rng, n, shift=1.0):
@@ -202,3 +205,75 @@ class TestProxNegLogdet:
             x = prox.prox_neg_logdet_gram(v, gram, rho)
             resid = gram - np.linalg.inv(x) + rho * (x - v)
             assert np.linalg.norm(resid) <= 1e-7 * (1.0 + rho * np.linalg.norm(v))
+
+
+def random_stack(rng, count, n):
+    v = rng.normal(size=(count, n, n))
+    ys = rng.normal(size=(count, 3, n))
+    gram = np.einsum("kmi,kmj->kij", ys, ys) / 3.0
+    return 0.5 * (v + np.swapaxes(v, 1, 2)), gram
+
+
+@st.composite
+def stacked_prox_instances(draw):
+    n = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 4))
+    entries = st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False)
+    v = draw(arrays(float, (count, n, n), elements=entries))
+    ys = draw(arrays(float, (count, n + 1, n), elements=entries))
+    rho = draw(st.floats(0.1, 10.0))
+    gram = np.einsum("kmi,kmj->kij", ys, ys) / (n + 1)
+    return 0.5 * (v + np.swapaxes(v, 1, 2)), gram, rho
+
+
+class TestProxNegLogdetStack:
+    def test_stack_matches_per_matrix(self):
+        rng = np.random.default_rng(45)
+        for n in range(1, 5):
+            for _ in range(10):
+                v, gram = random_stack(rng, 6, n)
+                rho = float(rng.uniform(0.1, 5.0))
+                stacked = prox.prox_neg_logdet_gram(v, gram, rho)
+                assert stacked.shape == (6, n, n)
+                for k in range(6):
+                    single = prox.prox_neg_logdet_gram(v[k], gram[k], rho)
+                    assert np.allclose(stacked[k], single, rtol=1e-13, atol=1e-13)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_prox_instances())
+    def test_spd_and_stationary(self, instance):
+        # Stationarity of the prox objective: G - X^{-1} + rho (X - V) = 0,
+        # relative to the size of its terms.
+        v, gram, rho = instance
+        x = prox.prox_neg_logdet_gram(v, gram, rho)
+        assert (np.linalg.eigvalsh(x) > 0.0).all()
+        x_inv = np.linalg.inv(x)
+        resid = gram - x_inv + rho * (x - v)
+
+        def norm(a):
+            return np.linalg.norm(a, axis=(1, 2))
+
+        scale = norm(gram) + norm(x_inv) + rho * (norm(x) + norm(v))
+        assert (norm(resid) <= 1e-10 * scale).all()
+
+    @pytest.mark.parametrize("which, entry", [("v", 1e-6), ("v", np.nan),
+                                              ("gram", 1e-6), ("gram", np.inf)])
+    def test_rejects_one_bad_member(self, which, entry):
+        rng = np.random.default_rng(46)
+        v, gram = random_stack(rng, 5, 3)
+        bad = v if which == "v" else gram
+        if np.isfinite(entry):
+            bad[2, 0, 1] += entry
+        else:
+            bad[2, 1, 1] = entry
+        with pytest.raises(ValueError):
+            prox.prox_neg_logdet_gram(v, gram, 1.0)
+
+    def test_lapack_failure_is_numerical_failure(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        v, gram = random_stack(np.random.default_rng(47), 2, 2)
+        with pytest.raises(NumericalFailureError):
+            prox.prox_neg_logdet_gram(v, gram, 1.0)
