@@ -9,9 +9,15 @@ by alternating the 2N-1 independent prox updates of Phi and Psi, a
 single projection onto the chain subspace, and the scaled dual updates,
 with optional over-relaxation. Termination follows the standard
 absolute-plus-relative test on the primal and dual residual norms.
+
+One iteration is a fixed sequence of whole-array operations: the two
+batched prox maps (the per-block maps are looped over only for problems
+that lack them), one LDL^T tridiagonal solve in
+:func:`~tvadmm.projection.project`, and in-place relaxation, dual update
+and residual norms on preallocated (2N-1, d) arrays that stack each
+block part over its difference part.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 import math
@@ -69,9 +75,11 @@ class ChainProblem:
     ``psi_prox(i, target, rho)`` the analogue for the difference costs,
     i in 0..n_blocks-2. Both must return length-``block_dim`` vectors.
 
-    Optional pieces: vectorized prox maps over all blocks at once (used
-    by the sequential engine when present; must match the per-block maps
-    exactly), an objective callback ``objective(x_blocks, r_blocks)``
+    Optional pieces: vectorized prox maps over all blocks at once, taking
+    and returning (n_blocks, block_dim) and (n_blocks - 1, block_dim)
+    arrays (used by the engine when present, in place of the per-block
+    maps; they must match the per-block maps exactly), an objective
+    callback ``objective(x_blocks, r_blocks)``
     used for the report's objective trace, and ``divergence_floor``
     below which the objective trace triggers an unbounded-problem error.
     """
@@ -137,9 +145,9 @@ def _cached_chain_factor(n_blocks):
 
 
 def _stacked_norm(a, b):
-    total = float((a * a).sum())
+    total = float(np.vdot(a, a))
     if b is not None:
-        total += float((b * b).sum())
+        total += float(np.vdot(b, b))
     return math.sqrt(total)
 
 
@@ -162,17 +170,16 @@ def residuals(x, r, z, s, z_prev, s_prev, u, t, rho, eps_abs, eps_rel):
     return primal, dual, eps_pri, eps_dual
 
 
-def _eval_prox_family(prox, targets, rho, pool):
-    out = np.empty_like(targets)
-    if pool is None:
+def _batched(prox):
+    # The per-block map looped over the rows, for problems without a
+    # batch map.
+    def batch(targets, rho):
+        out = np.empty_like(targets)
         for i in range(targets.shape[0]):
             out[i] = prox(i, targets[i], rho)
-    else:
-        def run(i):
-            out[i] = prox(i, targets[i], rho)
+        return out
 
-        list(pool.map(run, range(targets.shape[0])))
-    return out
+    return batch
 
 
 def _check_finite(blocks, iteration, which):
@@ -187,7 +194,7 @@ def _check_finite(blocks, iteration, which):
     )
 
 
-def solve(problem, config=None, initial=None, threads=1, callback=None):
+def solve(problem, config=None, initial=None, callback=None):
     """Run the splitting iteration on ``problem``.
 
     Parameters
@@ -196,20 +203,20 @@ def solve(problem, config=None, initial=None, threads=1, callback=None):
     config : SolverConfig, optional
         Defaults to ``SolverConfig()``.
     initial : SolverState, optional
-        Warm start; all-zero state otherwise.
-    threads : int
-        Number of worker threads for the per-block prox evaluations.
-        1 (the default) is the sequential reference mode and the only
-        mode with a determinism guarantee.
+        Warm start; all-zero state otherwise. Its arrays are copied, never
+        modified.
     callback : callable, optional
         ``callback(k, info)`` invoked after each iteration with a dict
-        holding the current ``x, r, z, s, u, t`` arrays (read-only use).
+        holding the current ``x, r, z, s, u, t`` arrays. They are views of
+        the engine's working buffers, valid only during the call: read
+        them, or copy what must outlive it, but do not modify them.
 
     Returns
     -------
     SolverReport
         The solution is reported from the projected (feasible) side, so
         ``r_star`` equals the exact consecutive differences of ``x_star``.
+        Its arrays are copies, independent of any later solve.
     """
     if config is None:
         config = SolverConfig()
@@ -218,89 +225,95 @@ def solve(problem, config=None, initial=None, threads=1, callback=None):
         raise ValueError("resolved rho must be positive, got %g" % rho)
     if problem.n_blocks == 1:
         return _solve_single_block(problem, config, rho, initial, callback)
-    return _solve_chain(problem, config, rho, initial, int(threads), callback)
+    return _solve_chain(problem, config, rho, initial, callback)
 
 
-def _solve_chain(problem, config, rho, initial, threads, callback):
+def _solve_chain(problem, config, rho, initial, callback):
+    # Each pair -- (x, r), (z, s), (u, t) and the previous (z, s) -- lives
+    # in one (2N - 1, d) array with the N block rows first, so relaxation,
+    # the dual update and the residual norms act on whole arrays in place.
     n, d = problem.n_blocks, problem.block_dim
     chol = _cached_chain_factor(n)
     alpha = config.alpha
+    stacked = (2 * n - 1, d)
 
+    xr = np.empty(stacked)
+    zs = np.zeros(stacked)
+    ut = np.zeros(stacked)
+    zs_prev = np.empty(stacked)
+    targets = np.empty(stacked)
+    relaxed = np.empty(stacked)
+    scratch = np.empty(stacked)
     if initial is not None:
-        z = np.array(initial.z, dtype=float).reshape(n, d)
-        s = np.array(initial.s, dtype=float).reshape(n - 1, d)
-        u = np.array(initial.u, dtype=float).reshape(n, d)
-        t = np.array(initial.t, dtype=float).reshape(n - 1, d)
-    else:
-        z = np.zeros((n, d))
-        s = np.zeros((n - 1, d))
-        u = np.zeros((n, d))
-        t = np.zeros((n - 1, d))
+        zs[:n] = np.reshape(initial.z, (n, d))
+        zs[n:] = np.reshape(initial.s, (n - 1, d))
+        ut[:n] = np.reshape(initial.u, (n, d))
+        ut[n:] = np.reshape(initial.t, (n - 1, d))
+    x, r = xr[:n], xr[n:]
 
-    use_batch = threads == 1
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    phi = problem.phi_prox_batch or _batched(problem.phi_prox)
+    psi = problem.psi_prox_batch or _batched(problem.psi_prox)
     history = []
     obj_trace = [] if problem.objective is not None else None
     converged = False
     iterations = 0
 
-    try:
-        for k in range(1, int(config.max_iter) + 1):
-            if use_batch and problem.phi_prox_batch is not None:
-                x = problem.phi_prox_batch(z - u, rho)
-            else:
-                x = _eval_prox_family(problem.phi_prox, z - u, rho, pool)
-            if use_batch and problem.psi_prox_batch is not None:
-                r = problem.psi_prox_batch(s - t, rho)
-            else:
-                r = _eval_prox_family(problem.psi_prox, s - t, rho, pool)
-            x = np.asarray(x, dtype=float).reshape(n, d)
-            r = np.asarray(r, dtype=float).reshape(n - 1, d)
+    for k in range(1, int(config.max_iter) + 1):
+        np.subtract(zs, ut, out=targets)
+        x[...] = phi(targets[:n], rho)
+        r[...] = psi(targets[n:], rho)
+        # A finite sum of squares proves every entry finite. Otherwise
+        # (a non-finite entry, or overflow) the exact check names the block.
+        if not math.isfinite(np.vdot(xr, xr)):
             _check_finite(x, k, "block")
             _check_finite(r, k, "difference")
 
-            # Over-relaxation blends the fresh iterate with the previous
-            # consensus before the projection and dual steps.
-            x_relaxed = alpha * x + (1.0 - alpha) * z
-            r_relaxed = alpha * r + (1.0 - alpha) * s
-            z_prev, s_prev = z, s
-            z, s = project(chol, x_relaxed + u, r_relaxed + t)
-            u = u + x_relaxed - z
-            t = t + r_relaxed - s
+        # Over-relaxation blends the fresh iterate with the previous
+        # consensus before the projection and dual steps.
+        np.multiply(xr, alpha, out=relaxed)
+        np.multiply(zs, 1.0 - alpha, out=scratch)
+        relaxed += scratch
+        zs, zs_prev = zs_prev, zs
+        np.add(relaxed, ut, out=targets)
+        z, s = project(chol, targets[:n], targets[n:])
+        zs[:n] = z
+        zs[n:] = s
+        ut += relaxed
+        ut -= zs
 
-            primal, dual, eps_pri, eps_dual = residuals(
-                x, r, z, s, z_prev, s_prev, u, t, rho, config.eps_abs, config.eps_rel
-            )
-            history.append((k, primal, dual, eps_pri, eps_dual))
-            iterations = k
+        primal, dual, eps_pri, eps_dual = residuals(
+            xr, None, zs, None, zs_prev, None, ut, None,
+            rho, config.eps_abs, config.eps_rel,
+        )
+        history.append((k, primal, dual, eps_pri, eps_dual))
+        iterations = k
 
-            if obj_trace is not None:
-                value = float(problem.objective(z, s))
-                obj_trace.append(value)
-                floor = problem.divergence_floor
-                if floor is not None and value < floor:
-                    raise UnboundedProblemError(
-                        "objective fell below %g at iteration %d; the problem "
-                        "appears unbounded" % (floor, k)
-                    )
-            if callback is not None:
-                callback(k, {"x": x, "r": r, "z": z, "s": s, "u": u, "t": t})
+        if obj_trace is not None:
+            value = float(problem.objective(zs[:n], zs[n:]))
+            obj_trace.append(value)
+            floor = problem.divergence_floor
+            if floor is not None and value < floor:
+                raise UnboundedProblemError(
+                    "objective fell below %g at iteration %d; the problem "
+                    "appears unbounded" % (floor, k)
+                )
+        if callback is not None:
+            callback(k, {"x": x, "r": r, "z": zs[:n], "s": zs[n:],
+                         "u": ut[:n], "t": ut[n:]})
 
-            if primal <= eps_pri and dual <= eps_dual:
-                converged = True
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        if primal <= eps_pri and dual <= eps_dual:
+            converged = True
+            break
 
+    z, s = zs[:n].copy(), zs[n:].copy()
     return SolverReport(
-        x_star=z.copy(),
-        r_star=s.copy(),
+        x_star=z,
+        r_star=s,
         iterations=iterations,
         converged=converged,
         history=np.array(history, dtype=HISTORY_DTYPE),
         objective_trace=None if obj_trace is None else np.asarray(obj_trace),
-        state=SolverState(z=z, s=s, u=u, t=t),
+        state=SolverState(z=z.copy(), s=s.copy(), u=ut[:n].copy(), t=ut[n:].copy()),
     )
 
 

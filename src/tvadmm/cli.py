@@ -188,8 +188,7 @@ def _cmd_mean(args):
     penalty = Penalty(args.penalty)
     lam = _resolve_lambda(args, data, sigma, penalty)
     spec = MeanFilterSpec(lam=lam, penalty=penalty, sigma=sigma)
-    estimates, report = mean_filter(data, spec, _solver_config(args),
-                                    threads=args.threads)
+    estimates, report = mean_filter(data, spec, _solver_config(args))
     write_matrix_csv(args.output, estimates)
     write_history_csv(args.residuals, report.history)
     _print_segments(estimates)
@@ -207,8 +206,7 @@ def _cmd_var(args):
     spec = VarianceFilterSpec(lam=args.lam, penalty=Penalty(args.penalty),
                               window=args.window)
     try:
-        estimate, report = variance_filter(data, spec, _solver_config(args),
-                                           threads=args.threads)
+        estimate, report = variance_filter(data, spec, _solver_config(args))
     except UnboundedProblemError as exc:
         print(
             "error: unbounded problem (lambda=%g, window=%d): %s"
@@ -271,8 +269,6 @@ def _add_solver_flags(sub, with_lambda_frac):
     sub.add_argument("--eps-abs", type=float, default=1e-4)
     sub.add_argument("--eps-rel", type=float, default=1e-3)
     sub.add_argument("--max-iter", type=int, default=10000)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="prox worker threads (1 = sequential reference)")
 
 
 def build_parser():

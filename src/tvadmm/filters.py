@@ -110,7 +110,7 @@ def _resolve_rho(config, lam):
     return float(lam) if lam > 0.0 else 1.0
 
 
-def mean_filter(data, spec, config=None, threads=1):
+def mean_filter(data, spec, config=None):
     """Estimate a piecewise-constant mean sequence.
 
     After the iteration stops, the estimate is polished: the segment
@@ -128,8 +128,6 @@ def mean_filter(data, spec, config=None, threads=1):
         Observed samples, one row per time step.
     spec : MeanFilterSpec
     config : SolverConfig, optional
-    threads : int
-        Worker threads for the per-block prox updates (1 = sequential).
 
     Returns
     -------
@@ -149,7 +147,7 @@ def mean_filter(data, spec, config=None, threads=1):
         )
     rho = _resolve_rho(config, spec.lam)
     problem = _build_mean_problem(samples, sigma, spec.lam, spec.penalty, rho)
-    report = solve(problem, config, threads=threads)
+    report = solve(problem, config)
     if spec.penalty is Penalty.ELEMENTWISE or dim == 1:
         report = _polish_mean(report, problem, samples, sigma, spec.lam)
     estimates = report.x_star[:, 0] if was_1d else report.x_star
@@ -258,10 +256,14 @@ def _build_mean_problem(samples, sigma, lam, penalty, rho):
         return prox.soft_threshold_scalar(targets, kappa)
 
     sigma_inv = cache.sigma_inv
+    scalar_weight = float(sigma_inv[0, 0]) if dim == 1 else None
 
     def objective(x_blocks, r_blocks):
         resid = samples - x_blocks
-        quad = 0.5 * float(np.einsum("ij,jk,ik->", resid, sigma_inv, resid))
+        if scalar_weight is not None:
+            quad = 0.5 * scalar_weight * float(np.vdot(resid, resid))
+        else:
+            quad = 0.5 * float(np.vdot(resid, resid @ sigma_inv))
         if r_blocks.shape[0] == 0:
             return quad
         if grouped:
@@ -323,7 +325,7 @@ def _check_variance_bounded(grams, lam):
         )
 
 
-def variance_filter(data, spec, config=None, threads=1):
+def variance_filter(data, spec, config=None):
     """Estimate a piecewise-constant covariance sequence.
 
     Works in the inverse-covariance parametrization (one SPD matrix per
@@ -342,7 +344,7 @@ def variance_filter(data, spec, config=None, threads=1):
     grams = _trailing_gram_average(samples, int(spec.window))
     _check_variance_bounded(grams, spec.lam)
     problem = _build_variance_problem(grams, spec, rho)
-    report = solve(problem, config, threads=threads)
+    report = solve(problem, config)
 
     # tol=inf folds away whatever rounding asymmetry the solve left;
     # only non-finite entries are rejected.

@@ -6,35 +6,35 @@ onto that subspace reduces to the normal equations
 
     (I + D^T D) z = w + D^T v,      s = D z,
 
-where D is the forward difference operator. I + D^T D is block
-tridiagonal with a Cholesky factor of the form L (x) I whose scalar
-coefficients follow a short recursion. The factor is stored once in
-LAPACK's lower band layout, so each projection is one banded
-triangular solve pair (``dpbtrs``) over all d columns, O(N d) time.
+where D is the forward difference operator. I + D^T D is symmetric
+positive definite and tridiagonal (per column of the blocks), with a
+Cholesky factor whose scalar coefficients follow a short recursion. The
+factor is cached once as LAPACK's LDL^T form of a tridiagonal matrix, so
+each projection is one LDL^T tridiagonal solve (``dpttrs``) over all d
+columns, O(N d) time.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.linalg import cho_solve_banded
+from scipy.linalg.lapack import dpttrs
 
 
 @dataclass(frozen=True)
 class ChainCholesky:
     """Scalar Cholesky coefficients of I + D^T D for ``n_blocks`` blocks.
 
-    ``diag`` holds the N diagonal coefficients, ``subdiag`` the N-1
-    subdiagonal ones, ``inv_diag`` the reciprocals of ``diag``, and
-    ``band`` the same factor in LAPACK lower band storage (row 0 the
-    diagonal, row 1 the subdiagonal padded with a trailing zero), as
-    consumed by :func:`scipy.linalg.cho_solve_banded`.
+    ``diag`` holds the N diagonal coefficients l_ii and ``subdiag`` the
+    N-1 subdiagonal ones l_{i+1,i}. ``band`` holds the same factor as
+    LDL^T with L unit lower bidiagonal, the form LAPACK's ``dpttrs``
+    consumes: row 0 is D (d_i = l_ii^2), row 1 the subdiagonal of L
+    (e_i = l_{i+1,i} / l_ii) padded with a trailing zero.
     """
 
     n_blocks: int
     diag: np.ndarray
     subdiag: np.ndarray
-    inv_diag: np.ndarray
     band: np.ndarray
 
 
@@ -62,12 +62,9 @@ def chain_factor(n_blocks):
     subdiag[n_blocks - 2] = -1.0 / diag[n_blocks - 2]
     diag[n_blocks - 1] = math.sqrt(2.0 - subdiag[n_blocks - 2] ** 2)
     band = np.zeros((2, n_blocks))
-    band[0] = diag
-    band[1, :-1] = subdiag
-    return ChainCholesky(
-        n_blocks=n_blocks, diag=diag, subdiag=subdiag, inv_diag=1.0 / diag,
-        band=band,
-    )
+    band[0] = diag * diag
+    band[1, :-1] = subdiag / diag[:-1]
+    return ChainCholesky(n_blocks=n_blocks, diag=diag, subdiag=subdiag, band=band)
 
 
 def project(chol, w, v):
@@ -88,8 +85,8 @@ def project(chol, w, v):
     s : (N-1, d) ndarray
         ``s`` is formed as the exact consecutive differences of ``z``.
     """
-    w = np.ascontiguousarray(w, dtype=float)
-    v = np.ascontiguousarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    v = np.asarray(v, dtype=float)
     n = chol.n_blocks
     if w.ndim != 2 or v.ndim != 2:
         raise ValueError("w and v must be 2-d arrays of shape (blocks, dim)")
@@ -103,14 +100,12 @@ def project(chol, w, v):
             "block dimensions differ: w has %d, v has %d" % (w.shape[1], v.shape[1])
         )
 
-    # b = w + D^T v
-    b = np.empty_like(w)
-    b[0] = w[0] - v[0]
-    b[-1] = w[-1] + v[-1]
-    if n > 2:
-        b[1:-1] = w[1:-1] + v[:-1] - v[1:]
-
-    z = cho_solve_banded((chol.band, True), b, overwrite_b=True,
-                         check_finite=False)
+    # b = w + D^T v: b_i = (w_i + v_{i-1}) - v_i, without the missing ends.
+    b = w.copy()
+    b[1:] += v
+    b[:-1] -= v
+    z, info = dpttrs(chol.band[0], chol.band[1, :-1], b, overwrite_b=True)
+    if info != 0:
+        raise ValueError("dpttrs rejected argument %d" % -info)
     s = z[1:] - z[:-1]
     return z, s

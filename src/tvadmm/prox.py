@@ -6,6 +6,7 @@ the splitting scheme.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -20,20 +21,25 @@ class GaussianProxCache:
     For fixed noise covariance ``sigma``, samples y_1..y_N and penalty
     ``rho``, the prox of (1/2)(y_i - x)^T sigma^{-1} (y_i - x) is
 
-        x = (sigma^{-1} + rho I)^{-1} (sigma^{-1} y_i + rho * target),
+        x = (sigma^{-1} + rho I)^{-1} (sigma^{-1} y_i + rho * target)
+          = offset_i + gain @ target,
 
-    so we factor (sigma^{-1} + rho I) once and keep sigma^{-1} y_i for
-    every sample.
+    with the symmetric ``gain`` = rho (sigma^{-1} + rho I)^{-1} and row i
+    of ``offset`` = (sigma^{-1} + rho I)^{-1} sigma^{-1} y_i. So the prox
+    is one multiply-add per block. ``gain_diagonal`` holds the diagonal
+    of ``gain`` when every off-diagonal entry is zero (a diagonal
+    ``sigma``), and is None otherwise.
     """
 
     rho: float
     sigma_inv: np.ndarray
-    sigma_inv_y: np.ndarray
-    system_factor: np.ndarray
+    gain: np.ndarray
+    offset: np.ndarray
+    gain_diagonal: Optional[np.ndarray]
 
     @property
     def n_samples(self):
-        return self.sigma_inv_y.shape[0]
+        return self.offset.shape[0]
 
     @property
     def dim(self):
@@ -66,13 +72,20 @@ def gaussian_prox_cache(sigma, samples, rho):
     sigma_factor = linalg.spd_factor(sigma)
     sigma_inv = linalg.spd_solve(sigma_factor, np.eye(n))
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    sigma_inv_y = linalg.spd_solve(sigma_factor, samples.T).T
+    sigma_inv_y = linalg.spd_solve(sigma_factor, samples.T)
     system_factor = linalg.spd_factor(sigma_inv + rho * np.eye(n))
+    gain = linalg.spd_solve(system_factor, rho * np.eye(n))
+    gain = 0.5 * (gain + gain.T)
+    offset = linalg.spd_solve(system_factor, sigma_inv_y).T
+    diagonal = np.diag(gain).copy()
+    if not np.array_equal(gain, np.diag(diagonal)):
+        diagonal = None
     return GaussianProxCache(
         rho=rho,
         sigma_inv=sigma_inv,
-        sigma_inv_y=np.ascontiguousarray(sigma_inv_y),
-        system_factor=system_factor,
+        gain=gain,
+        offset=np.ascontiguousarray(offset),
+        gain_diagonal=diagonal,
     )
 
 
@@ -84,19 +97,28 @@ def prox_gaussian(cache, i, target):
         raise ValueError(
             "target shape %s does not match dimension %d" % (target.shape, cache.dim)
         )
-    rhs = cache.sigma_inv_y[i] + cache.rho * target
-    return linalg.spd_solve(cache.system_factor, rhs)
+    return _gaussian_map(cache, cache.offset[i:i + 1], target[None, :])[0]
 
 
 def prox_gaussian_batch(cache, targets):
     """Vectorized :func:`prox_gaussian` over all blocks at once.
 
-    ``targets`` has shape (N, n); returns the same shape. Identical
-    arithmetic to the per-block call, applied column-wise.
+    ``targets`` has shape (N, n); returns the same shape, equal bit for
+    bit to the per-block calls.
     """
-    targets = np.asarray(targets, dtype=float)
-    rhs = cache.sigma_inv_y + cache.rho * targets
-    return linalg.spd_solve(cache.system_factor, rhs.T).T
+    return _gaussian_map(cache, cache.offset, np.asarray(targets, dtype=float))
+
+
+def _gaussian_map(cache, offset, targets):
+    # offset + targets @ gain, computed row by row in the same order
+    # whatever the number of rows (a BLAS matmul is not), so the batch
+    # and per-block maps agree exactly.
+    if cache.gain_diagonal is not None:
+        return offset + targets * cache.gain_diagonal
+    acc = targets[:, :1] * cache.gain[0]
+    for j in range(1, cache.dim):
+        acc += targets[:, j:j + 1] * cache.gain[j]
+    return offset + acc
 
 
 def soft_threshold_group(a, kappa):

@@ -144,15 +144,6 @@ class TestSolve:
         assert np.array_equal(a.r_star, b.r_star)
         assert a.history.tobytes() == b.history.tobytes()
 
-    def test_threads_match_sequential(self):
-        rng = np.random.default_rng(55)
-        problem = mean_problem(rng.normal(size=(12, 1)).ravel(), lam=0.5, rho=0.5)
-        cfg = admm.SolverConfig(rho=0.5)
-        seq = admm.solve(problem, cfg, threads=1)
-        par = admm.solve(problem, cfg, threads=4)
-        assert np.allclose(seq.x_star, par.x_star, atol=1e-12, rtol=0)
-        assert seq.iterations == par.iterations
-
     def test_per_index_matches_batch(self):
         rng = np.random.default_rng(56)
         problem = mean_problem(rng.normal(size=(8, 1)).ravel(), lam=0.5, rho=0.5)
@@ -202,6 +193,61 @@ class TestSolve:
         )
         with pytest.raises(UnboundedProblemError):
             admm.solve(problem, admm.SolverConfig(rho=1.0, max_iter=2000))
+
+
+class TestEngineState:
+    """The engine updates its working arrays in place; nothing it returns
+    or was given may alias them."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(57)
+        samples = np.repeat(rng.normal(size=(4, 2)), 6, axis=0)
+        samples += 0.2 * rng.normal(size=samples.shape)
+        return mean_problem(samples, lam=0.4, rho=0.4, penalty=Penalty.ELEMENTWISE)
+
+    @staticmethod
+    def config(max_iter):
+        # Tolerances no iterate meets, so every solve runs max_iter steps.
+        return admm.SolverConfig(rho=0.4, eps_abs=1e-300, eps_rel=1e-300,
+                                 max_iter=max_iter)
+
+    @staticmethod
+    def state_arrays(state):
+        return [state.z.copy(), state.s.copy(), state.u.copy(), state.t.copy()]
+
+    def test_resumed_solve_matches_one_solve(self):
+        problem = self.problem()
+        first = admm.solve(problem, self.config(20))
+        resumed = admm.solve(problem, self.config(30), initial=first.state)
+        whole = admm.solve(problem, self.config(50))
+        assert resumed.iterations == 30 and whole.iterations == 50
+        assert np.array_equal(resumed.x_star, whole.x_star)
+        assert np.array_equal(resumed.r_star, whole.r_star)
+        for a, b in zip(self.state_arrays(resumed.state),
+                        self.state_arrays(whole.state)):
+            assert np.array_equal(a, b)
+
+    def test_initial_state_unmodified(self):
+        problem = self.problem()
+        initial = admm.solve(problem, self.config(20)).state
+        before = self.state_arrays(initial)
+        admm.solve(problem, self.config(20), initial=initial)
+        for a, b in zip(before, self.state_arrays(initial)):
+            assert np.array_equal(a, b)
+
+    def test_later_solve_leaves_earlier_report_alone(self):
+        problem = self.problem()
+        first = admm.solve(problem, self.config(20))
+        x_star, r_star = first.x_star.copy(), first.r_star.copy()
+        state = self.state_arrays(first.state)
+        admm.solve(problem, self.config(20))
+        admm.solve(problem, self.config(20), initial=first.state)
+        assert np.array_equal(first.x_star, x_star)
+        assert np.array_equal(first.r_star, r_star)
+        for a, b in zip(state, self.state_arrays(first.state)):
+            assert np.array_equal(a, b)
+        assert not np.shares_memory(first.x_star, first.state.z)
 
 
 class TestPlainAdmmEquivalence:

@@ -259,19 +259,3 @@ def test_no_subcommand_is_input_error(capsys):
     assert cli.main([]) == cli.EXIT_INPUT
     assert "usage" in capsys.readouterr().err
 
-
-def test_threads_flag_matches_sequential(tmp_path):
-    rng = np.random.default_rng(15)
-    path = tmp_path / "in.csv"
-    np.savetxt(path, rng.normal(size=(30, 1)), delimiter=",", fmt="%.17g")
-    outputs = []
-    for tag, threads in (("a", "1"), ("b", "3")):
-        out = tmp_path / ("est_%s.csv" % tag)
-        res = tmp_path / ("hist_%s.csv" % tag)
-        code = cli.main(
-            ["mean", "--input", str(path), "--output", str(out),
-             "--residuals", str(res), "--lambda", "0.7", "--threads", threads]
-        )
-        assert code == cli.EXIT_OK
-        outputs.append(cli.read_matrix_csv(str(out)))
-    assert np.allclose(outputs[0], outputs[1], atol=1e-12, rtol=0)

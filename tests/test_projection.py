@@ -1,5 +1,7 @@
 import math
 
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 import numpy as np
 import pytest
 
@@ -47,10 +49,6 @@ class TestChainFactor:
         dop = difference_operator(n, d)
         dense = np.eye(n * d) + dop.T @ dop
         assert np.abs(lower @ lower.T - dense).max() < 1e-12
-
-    def test_inv_diag(self):
-        chol = chain_factor(17)
-        assert np.array_equal(chol.inv_diag, 1.0 / chol.diag)
 
     def test_rejects_single_block(self):
         with pytest.raises(ValueError):
@@ -155,3 +153,34 @@ class TestProject:
             project(chol, np.zeros((3, 1)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             project(chol, np.zeros(3), np.zeros(2))
+
+
+@st.composite
+def projection_inputs(draw):
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 4))
+    entries = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+    return (draw(arrays(float, (n, d), elements=entries)),
+            draw(arrays(float, (n - 1, d), elements=entries)))
+
+
+def difference_adjoint(a):
+    """D^T a for an (N-1, d) array: -a_0, a_{i-1} - a_i, ..., a_{N-2}."""
+    return -np.diff(np.pad(a, ((1, 1), (0, 0))), axis=0)
+
+
+class TestProjectProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(projection_inputs())
+    def test_feasible_orthogonal_and_matches_dense(self, inputs):
+        w, v = inputs
+        z, s = project(chain_factor(w.shape[0]), w, v)
+        assert np.array_equal(s, z[1:] - z[:-1])
+        # (w - z, v - s) is orthogonal to the subspace {(y, Dy)} exactly
+        # when (w - z) + D^T (v - s) = 0.
+        scale = 1.0 + np.abs(w).max() + np.abs(v).max()
+        resid = (w - z) + difference_adjoint(v - s)
+        assert np.abs(resid).max() <= 1e-10 * scale
+        z_ref, s_ref = dense_project(w, v)
+        assert np.abs(z - z_ref).max() <= 1e-10 * scale
+        assert np.abs(s - s_ref).max() <= 1e-10 * scale
