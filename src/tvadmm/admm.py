@@ -78,7 +78,8 @@ class ChainProblem:
     Optional pieces: vectorized prox maps over all blocks at once, taking
     and returning (n_blocks, block_dim) and (n_blocks - 1, block_dim)
     arrays (used by the engine when present, in place of the per-block
-    maps; they must match the per-block maps exactly), an objective
+    maps; they must match the per-block maps exactly, and a result of
+    the wrong size raises ``ValueError``), an objective
     callback ``objective(x_blocks, r_blocks)``
     used for the report's objective trace, and ``divergence_floor``
     below which the objective trace triggers an unbounded-problem error.
@@ -260,8 +261,10 @@ def _solve_chain(problem, config, rho, initial, callback):
 
     for k in range(1, int(config.max_iter) + 1):
         np.subtract(zs, ut, out=targets)
-        x[...] = phi(targets[:n], rho)
-        r[...] = psi(targets[n:], rho)
+        # The reshape raises on a batch map result of the wrong size,
+        # which a plain broadcast into the buffer would spread instead.
+        x[...] = np.reshape(phi(targets[:n], rho), (n, d))
+        r[...] = np.reshape(psi(targets[n:], rho), (n - 1, d))
         # A finite sum of squares proves every entry finite. Otherwise
         # (a non-finite entry, or overflow) the exact check names the block.
         if not math.isfinite(np.vdot(xr, xr)):

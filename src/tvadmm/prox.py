@@ -6,7 +6,6 @@ the splitting scheme.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -26,16 +25,13 @@ class GaussianProxCache:
 
     with the symmetric ``gain`` = rho (sigma^{-1} + rho I)^{-1} and row i
     of ``offset`` = (sigma^{-1} + rho I)^{-1} sigma^{-1} y_i. So the prox
-    is one multiply-add per block. ``gain_diagonal`` holds the diagonal
-    of ``gain`` when every off-diagonal entry is zero (a diagonal
-    ``sigma``), and is None otherwise.
+    is one multiply-add per block.
     """
 
     rho: float
     sigma_inv: np.ndarray
     gain: np.ndarray
     offset: np.ndarray
-    gain_diagonal: Optional[np.ndarray]
 
     @property
     def n_samples(self):
@@ -77,15 +73,11 @@ def gaussian_prox_cache(sigma, samples, rho):
     gain = linalg.spd_solve(system_factor, rho * np.eye(n))
     gain = 0.5 * (gain + gain.T)
     offset = linalg.spd_solve(system_factor, sigma_inv_y).T
-    diagonal = np.diag(gain).copy()
-    if not np.array_equal(gain, np.diag(diagonal)):
-        diagonal = None
     return GaussianProxCache(
         rho=rho,
         sigma_inv=sigma_inv,
         gain=gain,
         offset=np.ascontiguousarray(offset),
-        gain_diagonal=diagonal,
     )
 
 
@@ -110,15 +102,16 @@ def prox_gaussian_batch(cache, targets):
 
 
 def _gaussian_map(cache, offset, targets):
-    # offset + targets @ gain, computed row by row in the same order
-    # whatever the number of rows (a BLAS matmul is not), so the batch
-    # and per-block maps agree exactly.
-    if cache.gain_diagonal is not None:
-        return offset + targets * cache.gain_diagonal
-    acc = targets[:, :1] * cache.gain[0]
+    # offset + targets @ gain on the transposed (n, rows) layout, adding
+    # one column of targets at a time: every entry is summed in the same
+    # order whatever the number of rows (a BLAS matmul is not), so the
+    # batch and per-block maps agree exactly.
+    gain = cache.gain
+    acc = np.multiply.outer(gain[0], targets[:, 0])
     for j in range(1, cache.dim):
-        acc += targets[:, j:j + 1] * cache.gain[j]
-    return offset + acc
+        acc += np.multiply.outer(gain[j], targets[:, j])
+    acc += offset.T
+    return acc.T
 
 
 def soft_threshold_group(a, kappa):

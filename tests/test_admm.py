@@ -176,6 +176,21 @@ class TestSolve:
         assert err.value.block_index == 2
         assert err.value.iteration == 1
 
+    @pytest.mark.parametrize("which", ["phi", "psi"])
+    @pytest.mark.parametrize("bad", [
+        lambda targets: targets[:1],
+        lambda targets: targets[0],
+        lambda targets: 0.5,
+    ], ids=["row", "vector", "scalar"])
+    def test_wrong_size_batch_result_raises(self, which, bad):
+        rng = np.random.default_rng(57)
+        problem = mean_problem(rng.normal(size=(6, 2)), lam=0.5, rho=0.5)
+        name = which + "_prox_batch"
+        good = getattr(problem, name)
+        setattr(problem, name, lambda targets, rho: bad(good(targets, rho)))
+        with pytest.raises(ValueError):
+            admm.solve(problem, admm.SolverConfig(rho=0.5, max_iter=3))
+
     def test_divergence_guard(self):
         def drifting_phi(i, target, rho):
             return target + 10.0
