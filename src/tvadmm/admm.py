@@ -11,11 +11,11 @@ with optional over-relaxation. Termination follows the standard
 absolute-plus-relative test on the primal and dual residual norms.
 
 One iteration is a fixed sequence of whole-array operations: the two
-batched prox maps (the per-block maps are looped over only for problems
-that lack them), one LDL^T tridiagonal solve in
+batch prox maps, one LDL^T tridiagonal solve in
 :func:`~tvadmm.projection.project`, and in-place relaxation, dual update
 and residual norms on preallocated (2N-1, d) arrays that stack each
-block part over its difference part.
+block part over its difference part. A single block (N = 1) runs the
+same loop, with zero difference rows.
 """
 
 from dataclasses import dataclass, field
@@ -68,29 +68,25 @@ class SolverConfig:
 
 @dataclass
 class ChainProblem:
-    """A chain-coupled problem instance given through its prox maps.
+    """A chain-coupled problem instance given through its batch prox maps.
 
-    ``phi_prox(i, target, rho)`` returns the minimizer of
-    Phi_i(x) + (rho/2)||x - target||^2 for block i in 0..n_blocks-1;
-    ``psi_prox(i, target, rho)`` the analogue for the difference costs,
-    i in 0..n_blocks-2. Both must return length-``block_dim`` vectors.
+    ``phi_prox_batch(targets, rho)`` takes an (n_blocks, block_dim) array
+    and returns one of the same shape whose row i minimizes
+    Phi_i(x) + (rho/2)||x - targets[i]||^2. ``psi_prox_batch(targets,
+    rho)`` does the same for the difference costs Psi_i over an
+    (n_blocks - 1, block_dim) array, which has no rows when n_blocks is
+    1. A result of the wrong size raises ``ValueError``.
 
-    Optional pieces: vectorized prox maps over all blocks at once, taking
-    and returning (n_blocks, block_dim) and (n_blocks - 1, block_dim)
-    arrays (used by the engine when present, in place of the per-block
-    maps; they must match the per-block maps exactly, and a result of
-    the wrong size raises ``ValueError``), an objective
-    callback ``objective(x_blocks, r_blocks)``
-    used for the report's objective trace, and ``divergence_floor``
-    below which the objective trace triggers an unbounded-problem error.
+    Optional pieces: an objective callback ``objective(x_blocks,
+    r_blocks)`` used for the report's objective trace, and
+    ``divergence_floor`` below which the objective trace triggers an
+    unbounded-problem error.
     """
 
     n_blocks: int
     block_dim: int
-    phi_prox: Callable[[int, np.ndarray, float], np.ndarray]
-    psi_prox: Optional[Callable[[int, np.ndarray, float], np.ndarray]] = None
-    phi_prox_batch: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    psi_prox_batch: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    phi_prox_batch: Callable[[np.ndarray, float], np.ndarray]
+    psi_prox_batch: Callable[[np.ndarray, float], np.ndarray]
     objective: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     divergence_floor: Optional[float] = None
     default_rho: float = 1.0
@@ -100,18 +96,19 @@ class ChainProblem:
             raise ValueError("n_blocks must be >= 1")
         if int(self.block_dim) < 1:
             raise ValueError("block_dim must be >= 1")
-        if self.n_blocks > 1 and self.psi_prox is None:
-            raise ValueError("psi_prox is required when n_blocks > 1")
 
 
 @dataclass
 class SolverState:
-    """Consensus and dual iterates; pass back to ``solve`` to warm start."""
+    """Consensus and dual iterates; pass back to ``solve`` to warm start.
+
+    ``s`` and ``t`` have no rows when there is a single block.
+    """
 
     z: np.ndarray
-    s: Optional[np.ndarray]
+    s: np.ndarray
     u: np.ndarray
-    t: Optional[np.ndarray]
+    t: np.ndarray
 
 
 @dataclass
@@ -130,7 +127,7 @@ class SolverReport:
     """
 
     x_star: np.ndarray
-    r_star: Optional[np.ndarray]
+    r_star: np.ndarray
     iterations: int
     converged: bool
     history: np.ndarray
@@ -145,42 +142,26 @@ def _cached_chain_factor(n_blocks):
     return chain_factor(n_blocks)
 
 
-def _stacked_norm(a, b):
-    total = float(np.vdot(a, a))
-    if b is not None:
-        total += float(np.vdot(b, b))
-    return math.sqrt(total)
+def _norm(a):
+    return math.sqrt(float(np.vdot(a, a)))
 
 
-def residuals(x, r, z, s, z_prev, s_prev, u, t, rho, eps_abs, eps_rel):
+def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel):
     """Residual norms and tolerances for the stacked iterate at one step.
 
-    Returns ``(primal, dual, eps_pri, eps_dual)`` where primal is
-    ||(x - z, r - s)||_2, dual is rho * ||(z, s) - (z_prev, s_prev)||_2,
-    and the tolerances use the square root of the full stacked dimension
+    Each array stacks a block part over its difference part, (2N - 1, d):
+    ``xr`` = (x, r), ``zs`` = (z, s), ``zs_prev`` the previous (z, s)
+    and ``ut`` = (u, t). Returns ``(primal, dual, eps_pri, eps_dual)``
+    where primal is ||xr - zs||_2, dual is rho * ||zs - zs_prev||_2, and
+    the tolerances use the square root of the stacked dimension
     (2N - 1) * d.
     """
-    dim = x.size + (r.size if r is not None else 0)
-    root_dim = math.sqrt(dim)
-    primal = _stacked_norm(x - z, None if r is None else r - s)
-    dual = rho * _stacked_norm(z - z_prev, None if s is None else s - s_prev)
-    eps_pri = root_dim * eps_abs + eps_rel * max(
-        _stacked_norm(x, r), _stacked_norm(z, s)
-    )
-    eps_dual = root_dim * eps_abs + eps_rel * rho * _stacked_norm(u, t)
+    root_dim = math.sqrt(xr.size)
+    primal = _norm(xr - zs)
+    dual = rho * _norm(zs - zs_prev)
+    eps_pri = root_dim * eps_abs + eps_rel * max(_norm(xr), _norm(zs))
+    eps_dual = root_dim * eps_abs + eps_rel * rho * _norm(ut)
     return primal, dual, eps_pri, eps_dual
-
-
-def _batched(prox):
-    # The per-block map looped over the rows, for problems without a
-    # batch map.
-    def batch(targets, rho):
-        out = np.empty_like(targets)
-        for i in range(targets.shape[0]):
-            out[i] = prox(i, targets[i], rho)
-        return out
-
-    return batch
 
 
 def _check_finite(blocks, iteration, which):
@@ -197,6 +178,12 @@ def _check_finite(blocks, iteration, which):
 
 def solve(problem, config=None, initial=None, callback=None):
     """Run the splitting iteration on ``problem``.
+
+    Every problem, a single block included, runs the same loop: the two
+    batch prox maps, the projection, relaxation and the dual update.
+    With one block the difference arrays have no rows, the projection is
+    the identity and the dual stays zero, so the loop is the relaxed
+    fixed-point iteration of the block prox.
 
     Parameters
     ----------
@@ -216,16 +203,15 @@ def solve(problem, config=None, initial=None, callback=None):
     -------
     SolverReport
         The solution is reported from the projected (feasible) side, so
-        ``r_star`` equals the exact consecutive differences of ``x_star``.
-        Its arrays are copies, independent of any later solve.
+        ``r_star`` equals the exact consecutive differences of ``x_star``
+        (no rows for a single block). Its arrays are copies, independent
+        of any later solve.
     """
     if config is None:
         config = SolverConfig()
     rho = config.rho if config.rho is not None else problem.default_rho
     if not rho > 0.0:
         raise ValueError("resolved rho must be positive, got %g" % rho)
-    if problem.n_blocks == 1:
-        return _solve_single_block(problem, config, rho, initial, callback)
     return _solve_chain(problem, config, rho, initial, callback)
 
 
@@ -252,8 +238,7 @@ def _solve_chain(problem, config, rho, initial, callback):
         ut[n:] = np.reshape(initial.t, (n - 1, d))
     x, r = xr[:n], xr[n:]
 
-    phi = problem.phi_prox_batch or _batched(problem.phi_prox)
-    psi = problem.psi_prox_batch or _batched(problem.psi_prox)
+    phi, psi = problem.phi_prox_batch, problem.psi_prox_batch
     history = []
     obj_trace = [] if problem.objective is not None else None
     converged = False
@@ -285,8 +270,7 @@ def _solve_chain(problem, config, rho, initial, callback):
         ut -= zs
 
         primal, dual, eps_pri, eps_dual = residuals(
-            xr, None, zs, None, zs_prev, None, ut, None,
-            rho, config.eps_abs, config.eps_rel,
+            xr, zs, zs_prev, ut, rho, config.eps_abs, config.eps_rel
         )
         history.append((k, primal, dual, eps_pri, eps_dual))
         iterations = k
@@ -317,59 +301,4 @@ def _solve_chain(problem, config, rho, initial, callback):
         history=np.array(history, dtype=HISTORY_DTYPE),
         objective_trace=None if obj_trace is None else np.asarray(obj_trace),
         state=SolverState(z=z.copy(), s=s.copy(), u=ut[:n].copy(), t=ut[n:].copy()),
-    )
-
-
-def _solve_single_block(problem, config, rho, initial, callback):
-    # With one block there are no difference terms; iterate the prox map
-    # to its fixed point, which is the unconstrained minimizer of Phi_1.
-    d = problem.block_dim
-    if initial is not None:
-        x = np.array(initial.z, dtype=float).reshape(d)
-    else:
-        x = np.zeros(d)
-    root_dim = math.sqrt(d)
-    history = []
-    obj_trace = [] if problem.objective is not None else None
-    converged = False
-    iterations = 0
-    empty_r = np.zeros((0, d))
-
-    for k in range(1, int(config.max_iter) + 1):
-        x_new = np.asarray(problem.phi_prox(0, x, rho), dtype=float).reshape(d)
-        _check_finite(x_new[None, :], k, "block")
-        step = float(np.linalg.norm(x_new - x))
-        eps_pri = config.eps_abs * root_dim + config.eps_rel * max(
-            float(np.linalg.norm(x_new)), float(np.linalg.norm(x))
-        )
-        eps_dual = config.eps_abs * root_dim
-        primal, dual = step, rho * step
-        history.append((k, primal, dual, eps_pri, eps_dual))
-        x = x_new
-        iterations = k
-
-        if obj_trace is not None:
-            value = float(problem.objective(x[None, :], empty_r))
-            obj_trace.append(value)
-            floor = problem.divergence_floor
-            if floor is not None and value < floor:
-                raise UnboundedProblemError(
-                    "objective fell below %g at iteration %d; the problem "
-                    "appears unbounded" % (floor, k)
-                )
-        if callback is not None:
-            callback(k, {"x": x[None, :], "r": empty_r, "z": x[None, :],
-                         "s": empty_r, "u": np.zeros((1, d)), "t": empty_r})
-        if primal <= eps_pri and dual <= eps_dual:
-            converged = True
-            break
-
-    return SolverReport(
-        x_star=x[None, :].copy(),
-        r_star=empty_r,
-        iterations=iterations,
-        converged=converged,
-        history=np.array(history, dtype=HISTORY_DTYPE),
-        objective_trace=None if obj_trace is None else np.asarray(obj_trace),
-        state=SolverState(z=x[None, :].copy(), s=None, u=np.zeros((1, d)), t=None),
     )

@@ -231,55 +231,48 @@ def _mean_certificate(x, samples, sigma_inv, lam):
 def _build_mean_problem(samples, sigma, lam, penalty, rho):
     n_samples, dim = samples.shape
     cache = prox.gaussian_prox_cache(sigma, samples, rho)
-    grouped = penalty is Penalty.GROUP
-
-    def phi(i, target, rho_k):
-        if rho_k != cache.rho:
-            raise ValueError("prox cache was built for rho=%g" % cache.rho)
-        return prox.prox_gaussian(cache, i, target)
-
-    def phi_batch(targets, rho_k):
-        if rho_k != cache.rho:
-            raise ValueError("prox cache was built for rho=%g" % cache.rho)
-        return prox.prox_gaussian_batch(cache, targets)
-
-    def psi(i, target, rho_k):
-        kappa = lam / rho_k
-        if grouped:
-            return prox.soft_threshold_group(target, kappa)
-        return prox.soft_threshold_scalar(target, kappa)
-
-    def psi_batch(targets, rho_k):
-        kappa = lam / rho_k
-        if grouped:
-            return prox.soft_threshold_group_rows(targets, kappa)
-        return prox.soft_threshold_scalar(targets, kappa)
-
     sigma_inv = cache.sigma_inv
+
+    def phi(targets, rho_k):
+        if rho_k != cache.rho:
+            raise ValueError("prox cache was built for rho=%g" % cache.rho)
+        return prox.prox_gaussian(cache, targets)
 
     def objective(x_blocks, r_blocks):
         # np.dot, unlike @, hands the (N, 1) x (1, 1) product of a scalar
         # series to BLAS, which makes it several times faster.
         resid = samples - x_blocks
         quad = 0.5 * float(np.vdot(resid, np.dot(resid, sigma_inv)))
-        if r_blocks.shape[0] == 0:
-            return quad
-        if grouped:
-            pen = float(np.sqrt((r_blocks * r_blocks).sum(axis=1)).sum())
-        else:
-            pen = float(np.abs(r_blocks).sum())
-        return quad + lam * pen
+        return quad + lam * _penalty(r_blocks, penalty)
 
     return ChainProblem(
         n_blocks=n_samples,
         block_dim=dim,
-        phi_prox=phi,
-        psi_prox=psi if n_samples > 1 else None,
-        phi_prox_batch=phi_batch,
-        psi_prox_batch=psi_batch,
+        phi_prox_batch=phi,
+        psi_prox_batch=_difference_prox(lam, penalty),
         objective=objective,
         default_rho=rho,
     )
+
+
+def _difference_prox(lam, penalty):
+    # The batch prox of lam times the penalty, one row per difference.
+    if penalty is Penalty.GROUP:
+        threshold = prox.soft_threshold_group
+    else:
+        threshold = prox.soft_threshold_scalar
+
+    def psi(targets, rho_k):
+        return threshold(targets, lam / rho_k)
+
+    return psi
+
+
+def _penalty(r_blocks, penalty):
+    # Sum of the penalty over the difference rows (0 when there are none).
+    if penalty is Penalty.GROUP:
+        return float(np.sqrt((r_blocks * r_blocks).sum(axis=1)).sum())
+    return float(np.abs(r_blocks).sum())
 
 
 def _trailing_gram_average(samples, window):
@@ -373,29 +366,11 @@ def _first_not_positive_definite(mats):
 def _build_variance_problem(grams, spec, rho):
     n_samples, dim = grams.shape[0], grams.shape[1]
     flat_dim = dim * dim
-    lam = spec.lam
-    grouped = spec.penalty is Penalty.GROUP
     scalar_gram = grams[:, 0, 0] if dim == 1 else None
 
-    def phi(i, target, rho_k):
-        x = prox.prox_neg_logdet_gram(target.reshape(dim, dim), grams[i], rho_k)
-        return x.reshape(flat_dim)
-
-    def phi_batch(targets, rho_k):
+    def phi(targets, rho_k):
         x = prox.prox_neg_logdet_gram(targets.reshape(n_samples, dim, dim), grams, rho_k)
         return x.reshape(n_samples, flat_dim)
-
-    def psi(i, target, rho_k):
-        kappa = lam / rho_k
-        if grouped:
-            return prox.soft_threshold_group(target, kappa)
-        return prox.soft_threshold_scalar(target, kappa)
-
-    def psi_batch(targets, rho_k):
-        kappa = lam / rho_k
-        if grouped:
-            return prox.soft_threshold_group_rows(targets, kappa)
-        return prox.soft_threshold_scalar(targets, kappa)
 
     def objective(x_blocks, r_blocks):
         if dim == 1:
@@ -412,21 +387,13 @@ def _build_variance_problem(grams, spec, rho):
                 return np.inf
             quad = float((mats * grams).sum())
             logdet = linalg.spd_logdet(factor)
-        if r_blocks.shape[0] == 0:
-            pen = 0.0
-        elif grouped:
-            pen = float(np.sqrt((r_blocks * r_blocks).sum(axis=1)).sum())
-        else:
-            pen = float(np.abs(r_blocks).sum())
-        return quad - logdet + lam * pen
+        return quad - logdet + spec.lam * _penalty(r_blocks, spec.penalty)
 
     return ChainProblem(
         n_blocks=n_samples,
         block_dim=flat_dim,
-        phi_prox=phi,
-        psi_prox=psi if n_samples > 1 else None,
-        phi_prox_batch=phi_batch,
-        psi_prox_batch=psi_batch,
+        phi_prox_batch=phi,
+        psi_prox_batch=_difference_prox(spec.lam, spec.penalty),
         objective=objective,
         divergence_floor=spec.divergence_floor,
         default_rho=rho,

@@ -39,20 +39,21 @@ class ChainCholesky:
 
 
 def chain_factor(n_blocks):
-    """Compute the chain Cholesky coefficients for ``n_blocks`` >= 2.
+    """Compute the chain Cholesky coefficients for ``n_blocks`` >= 1.
 
     The coefficients start at sqrt(2), interior rows satisfy
     l_{i+1,i} = -1/l_{i,i} and l_{i+1,i+1} = sqrt(3 - l_{i+1,i}^2), and
-    the last row closes with l_{N,N} = sqrt(2 - l_{N,N-1}^2). They depend
-    only on N, so the result can be computed once and reused for every
-    projection of that length.
+    the last row closes with l_{N,N} = sqrt(2 - l_{N,N-1}^2). A single
+    block has no differences, so its factor is the 1x1 identity. The
+    coefficients depend only on N, so the result can be computed once
+    and reused for every projection of that length.
     """
     n_blocks = int(n_blocks)
-    if n_blocks < 2:
-        raise ValueError(
-            "chain_factor requires at least 2 blocks (a single block has "
-            "no difference constraints); got %d" % n_blocks
-        )
+    if n_blocks < 1:
+        raise ValueError("chain_factor requires at least 1 block; got %d" % n_blocks)
+    if n_blocks == 1:
+        return ChainCholesky(n_blocks=1, diag=np.ones(1), subdiag=np.empty(0),
+                             band=np.array([[1.0], [0.0]]))
     diag = np.empty(n_blocks)
     subdiag = np.empty(n_blocks - 1)
     diag[0] = math.sqrt(2.0)
@@ -77,7 +78,8 @@ def project(chol, w, v):
     w : (N, d) array_like
         Block-vector part paired with z.
     v : (N-1, d) array_like
-        Difference part paired with s.
+        Difference part paired with s; no rows when N = 1, where the
+        projection returns w.
 
     Returns
     -------
@@ -104,7 +106,9 @@ def project(chol, w, v):
     b = w.copy()
     b[1:] += v
     b[:-1] -= v
-    z, info = dpttrs(chol.band[0], chol.band[1, :-1], b, overwrite_b=True)
+    # dpttrs wants max(N - 1, 1) subdiagonal entries, even for N = 1.
+    z, info = dpttrs(chol.band[0], chol.band[1, :max(n - 1, 1)], b,
+                     overwrite_b=True)
     if info != 0:
         raise ValueError("dpttrs rejected argument %d" % -info)
     s = z[1:] - z[:-1]

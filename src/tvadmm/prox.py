@@ -2,7 +2,8 @@
 
 Each operator returns the exact minimizer of its cost plus
 (rho/2) * ||x - target||^2; these are the parallel first-step updates of
-the splitting scheme.
+the splitting scheme. Every operator takes all blocks at once, one row
+(or one matrix of a stack) per block.
 """
 
 from dataclasses import dataclass
@@ -25,21 +26,13 @@ class GaussianProxCache:
 
     with the symmetric ``gain`` = rho (sigma^{-1} + rho I)^{-1} and row i
     of ``offset`` = (sigma^{-1} + rho I)^{-1} sigma^{-1} y_i. So the prox
-    is one multiply-add per block.
+    of all blocks is one matrix multiply and one add.
     """
 
     rho: float
     sigma_inv: np.ndarray
     gain: np.ndarray
     offset: np.ndarray
-
-    @property
-    def n_samples(self):
-        return self.offset.shape[0]
-
-    @property
-    def dim(self):
-        return self.sigma_inv.shape[0]
 
 
 def gaussian_prox_cache(sigma, samples, rho):
@@ -81,72 +74,53 @@ def gaussian_prox_cache(sigma, samples, rho):
     )
 
 
-def prox_gaussian(cache, i, target):
-    """Quadratic prox for block ``i``: minimize the Gaussian fit term
-    plus (rho/2)||x - target||^2."""
-    target = np.asarray(target, dtype=float)
-    if target.shape != (cache.dim,):
-        raise ValueError(
-            "target shape %s does not match dimension %d" % (target.shape, cache.dim)
-        )
-    return _gaussian_map(cache, cache.offset[i:i + 1], target[None, :])[0]
+def prox_gaussian(cache, targets):
+    """Quadratic prox of every block at once.
 
-
-def prox_gaussian_batch(cache, targets):
-    """Vectorized :func:`prox_gaussian` over all blocks at once.
-
-    ``targets`` has shape (N, n); returns the same shape, equal bit for
-    bit to the per-block calls.
+    Row i of the result minimizes the Gaussian fit term of sample i plus
+    (rho/2)||x - targets[i]||^2. ``targets`` must have the shape (N, n)
+    of ``cache.offset``.
     """
-    return _gaussian_map(cache, cache.offset, np.asarray(targets, dtype=float))
-
-
-def _gaussian_map(cache, offset, targets):
-    # offset + targets @ gain on the transposed (n, rows) layout, adding
-    # one column of targets at a time: every entry is summed in the same
-    # order whatever the number of rows (a BLAS matmul is not), so the
-    # batch and per-block maps agree exactly.
-    gain = cache.gain
-    acc = np.multiply.outer(gain[0], targets[:, 0])
-    for j in range(1, cache.dim):
-        acc += np.multiply.outer(gain[j], targets[:, j])
-    acc += offset.T
-    return acc.T
+    targets = np.asarray(targets, dtype=float)
+    if targets.shape != cache.offset.shape:
+        raise ValueError(
+            "targets shape %s does not match the cache's %s"
+            % (targets.shape, cache.offset.shape)
+        )
+    # np.dot, unlike @, hands the (N, 1) x (1, 1) product of a scalar
+    # series to BLAS. The gain is symmetric, so row i is gain @ targets[i].
+    out = np.dot(targets, cache.gain)
+    out += cache.offset
+    return out
 
 
 def soft_threshold_group(a, kappa):
     """Group (l2-norm) soft thresholding: (1 - kappa/||a||_2)_+ a.
 
-    Returns the zero vector when ``a`` is zero. This is the prox of
-    kappa * ||.||_2; applied to a flattened matrix it is Frobenius-norm
-    thresholding.
+    Applies to a vector, or to each row of an (M, d) array. A row whose
+    norm is at most ``kappa`` (a zero row included) maps to zero. This is
+    the prox of kappa * ||.||_2; applied to a flattened matrix it is
+    Frobenius-norm thresholding.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative, got %g" % kappa)
     a = np.asarray(a, dtype=float)
-    norm = np.sqrt((a * a).sum())
-    if norm <= kappa:
-        return np.zeros_like(a)
-    return (1.0 - kappa / norm) * a
-
-
-def soft_threshold_group_rows(a, kappa):
-    """Row-wise group soft thresholding of an (M, d) array."""
-    if kappa < 0.0:
-        raise ValueError("kappa must be nonnegative, got %g" % kappa)
-    a = np.asarray(a, dtype=float)
-    norms = np.sqrt((a * a).sum(axis=1))
+    norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
     with np.errstate(divide="ignore", invalid="ignore"):
         factor = np.where(norms > kappa, 1.0 - kappa / norms, 0.0)
-    return factor[:, None] * a
+    return factor * a
 
 
 def soft_threshold_scalar(a, kappa):
-    """Componentwise soft thresholding: sign(a_j) * max(|a_j| - kappa, 0)."""
+    """Componentwise soft thresholding: sign(a_j) * max(|a_j| - kappa, 0).
+
+    Computed as a - clip(a, -kappa, kappa), which gives the same values
+    in two array passes.
+    """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative, got %g" % kappa)
     a = np.asarray(a, dtype=float)
-    return np.sign(a) * np.maximum(np.abs(a) - kappa, 0.0)
+    return a - np.clip(a, -kappa, kappa)
 
 
 def _mu_from_eigenvalues(lam, rho):

@@ -109,7 +109,7 @@ def test_criterion_3_prox_stationarity_suites():
         y = rng.normal(size=(1, n)) * rng.uniform(0.5, 4.0)
         target = rng.normal(size=n)
         cache = prox.gaussian_prox_cache(sigma, y, rho)
-        x = prox.prox_gaussian(cache, 0, target)
+        x = prox.prox_gaussian(cache, target[None, :])[0]
         sigma_inv = np.linalg.inv(sigma)
         resid = np.abs(sigma_inv @ (x - y[0]) + rho * (x - target)).max()
         worst_gauss = max(worst_gauss, resid / (1.0 + np.abs(y).max()))

@@ -4,7 +4,9 @@ import pytest
 from oracles import textbook_chain_admm
 from tvadmm import admm
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
-from tvadmm.filters import MeanFilterSpec, Penalty, _build_mean_problem, mean_filter
+from tvadmm.filters import (MeanFilterSpec, Penalty, VarianceFilterSpec,
+                            _build_mean_problem, _build_variance_problem,
+                            mean_filter)
 
 
 def mean_problem(samples, lam, rho, sigma=None, penalty=Penalty.GROUP):
@@ -44,11 +46,9 @@ class TestSolverConfig:
 
 class TestResiduals:
     def test_zero_state(self):
-        x = np.ones((2, 1))
-        r = np.zeros((1, 1))
+        xr = np.array([[1.0], [1.0], [0.0]])
         primal, dual, eps_pri, eps_dual = admm.residuals(
-            x, r, x, r, x, r, np.zeros((2, 1)), np.zeros((1, 1)),
-            rho=1.0, eps_abs=1e-4, eps_rel=1e-3,
+            xr, xr, xr, np.zeros((3, 1)), rho=1.0, eps_abs=1e-4, eps_rel=1e-3,
         )
         assert primal == 0.0
         assert dual == 0.0
@@ -56,22 +56,18 @@ class TestResiduals:
         assert eps_dual > 0.0
 
     def test_primal_stack_norm(self):
-        x = np.array([[0.3], [0.4]])
-        z = np.zeros((2, 1))
-        r = np.zeros((1, 1))
-        s = np.zeros((1, 1))
+        xr = np.array([[0.3], [0.4], [0.0]])
+        zs = np.zeros((3, 1))
         primal, _, _, _ = admm.residuals(
-            x, r, z, s, z, s, z, s, rho=1.0, eps_abs=1e-4, eps_rel=1e-3
+            xr, zs, zs, zs, rho=1.0, eps_abs=1e-4, eps_rel=1e-3
         )
         assert abs(primal - 0.5) < 1e-15
 
     def test_dual_scaling(self):
-        z_prev = np.zeros((2, 1))
-        s_prev = np.zeros((1, 1))
-        z = np.array([[0.1], [0.0]])
-        s = np.zeros((1, 1))
+        zs_prev = np.zeros((3, 1))
+        zs = np.array([[0.1], [0.0], [0.0]])
         _, dual, _, _ = admm.residuals(
-            z, s, z, s, z_prev, s_prev, z, s, rho=2.0, eps_abs=1e-4, eps_rel=1e-3
+            zs, zs, zs_prev, zs, rho=2.0, eps_abs=1e-4, eps_rel=1e-3
         )
         assert abs(dual - 0.2) < 1e-15
 
@@ -84,6 +80,26 @@ class TestSolve:
         )
         assert report.converged
         assert np.abs(estimates - np.array([[1.5, -2.0]])).max() < 1e-8
+
+    def test_single_block_closed_forms(self):
+        # One block has no differences, so the optimum is the minimizer of
+        # Phi alone: the sample for the mean filter, G^{-1} for the
+        # variance filter with data matrix G.
+        tight = admm.SolverConfig(rho=0.7, eps_abs=1e-12, eps_rel=1e-12)
+        y = np.array([[0.8, -1.3, 2.5]])
+        problem = _build_mean_problem(y, np.eye(3), 2.0, Penalty.GROUP, 0.7)
+        report = admm.solve(problem, tight)
+        assert report.converged
+        assert report.r_star.shape == (0, 3)
+        assert np.abs(report.x_star - y).max() < 1e-9
+
+        gram = np.array([[[2.0, 0.6], [0.6, 1.5]]])
+        problem = _build_variance_problem(gram, VarianceFilterSpec(lam=1.0), 0.7)
+        report = admm.solve(problem, tight)
+        assert report.converged
+        assert report.state.s.shape == report.state.t.shape == (0, 4)
+        expected = np.linalg.inv(gram[0]).ravel()
+        assert np.abs(report.x_star[0] - expected).max() < 1e-9
 
     def test_two_point_kink(self):
         estimates, report = mean_filter(
@@ -144,32 +160,17 @@ class TestSolve:
         assert np.array_equal(a.r_star, b.r_star)
         assert a.history.tobytes() == b.history.tobytes()
 
-    def test_per_index_matches_batch(self):
-        rng = np.random.default_rng(56)
-        problem = mean_problem(rng.normal(size=(8, 1)).ravel(), lam=0.5, rho=0.5)
-        stripped = admm.ChainProblem(
-            n_blocks=problem.n_blocks,
-            block_dim=problem.block_dim,
-            phi_prox=problem.phi_prox,
-            psi_prox=problem.psi_prox,
-            default_rho=problem.default_rho,
-        )
-        cfg = admm.SolverConfig(rho=0.5)
-        fast = admm.solve(problem, cfg)
-        slow = admm.solve(stripped, cfg)
-        assert np.allclose(fast.x_star, slow.x_star, atol=1e-12, rtol=0)
-
     def test_non_finite_prox_reported(self):
-        def bad_phi(i, target, rho):
-            if i == 2:
-                return np.array([np.nan])
-            return target
+        def bad_phi(targets, rho):
+            out = targets.copy()
+            out[2] = np.nan
+            return out
 
-        def psi(i, target, rho):
-            return target
+        def psi(targets, rho):
+            return targets
 
         problem = admm.ChainProblem(
-            n_blocks=4, block_dim=1, phi_prox=bad_phi, psi_prox=psi
+            n_blocks=4, block_dim=1, phi_prox_batch=bad_phi, psi_prox_batch=psi
         )
         with pytest.raises(NumericalFailureError) as err:
             admm.solve(problem, admm.SolverConfig(rho=1.0))
@@ -192,17 +193,17 @@ class TestSolve:
             admm.solve(problem, admm.SolverConfig(rho=0.5, max_iter=3))
 
     def test_divergence_guard(self):
-        def drifting_phi(i, target, rho):
-            return target + 10.0
+        def drifting_phi(targets, rho):
+            return targets + 10.0
 
-        def psi(i, target, rho):
-            return target
+        def psi(targets, rho):
+            return targets
 
         problem = admm.ChainProblem(
             n_blocks=3,
             block_dim=1,
-            phi_prox=drifting_phi,
-            psi_prox=psi,
+            phi_prox_batch=drifting_phi,
+            psi_prox_batch=psi,
             objective=lambda x, r: -1e6 * float((x * x).sum()),
             divergence_floor=-1e8,
         )

@@ -50,9 +50,16 @@ class TestChainFactor:
         dense = np.eye(n * d) + dop.T @ dop
         assert np.abs(lower @ lower.T - dense).max() < 1e-12
 
-    def test_rejects_single_block(self):
+    def test_rejects_zero_blocks(self):
         with pytest.raises(ValueError):
-            chain_factor(1)
+            chain_factor(0)
+
+    def test_single_block_projects_to_itself(self):
+        # No differences to couple: the projection is the identity.
+        w = np.array([[1.5, -2.0, 3.25]])
+        z, s = project(chain_factor(1), w, np.zeros((0, 3)))
+        assert np.array_equal(z, w)
+        assert s.shape == (0, 3)
 
 
 class TestProject:

@@ -15,26 +15,28 @@ def random_spd(rng, n, shift=1.0):
 class TestProxGaussian:
     def test_scalar_example(self):
         cache = prox.gaussian_prox_cache(np.array([[1.0]]), np.array([[2.0]]), 1.0)
-        x = prox.prox_gaussian(cache, 0, np.array([0.0]))
-        assert np.allclose(x, [1.0], atol=1e-14)
+        x = prox.prox_gaussian(cache, np.array([[0.0]]))
+        assert np.allclose(x, [[1.0]], atol=1e-14)
 
     def test_fixed_point_at_sample(self):
         rng = np.random.default_rng(0)
         sigma = random_spd(rng, 3)
         y = rng.normal(size=(1, 3))
         cache = prox.gaussian_prox_cache(sigma, y, 2.5)
-        x = prox.prox_gaussian(cache, 0, y[0])
-        assert np.abs(x - y[0]).max() < 1e-12
+        x = prox.prox_gaussian(cache, y)
+        assert np.abs(x - y).max() < 1e-12
 
     def test_identity_sigma_example(self):
         cache = prox.gaussian_prox_cache(np.eye(2), np.array([[4.0, 0.0]]), 3.0)
-        x = prox.prox_gaussian(cache, 0, np.array([0.0, 4.0]))
-        assert np.allclose(x, [1.0, 3.0], atol=1e-14)
+        x = prox.prox_gaussian(cache, np.array([[0.0, 4.0]]))
+        assert np.allclose(x, [[1.0, 3.0]], atol=1e-14)
 
     def test_dimension_mismatch(self):
         cache = prox.gaussian_prox_cache(np.eye(2), np.zeros((1, 2)), 1.0)
         with pytest.raises(ValueError):
-            prox.prox_gaussian(cache, 0, np.zeros(3))
+            prox.prox_gaussian(cache, np.zeros((1, 3)))
+        with pytest.raises(ValueError):
+            prox.prox_gaussian(cache, np.zeros((2, 2)))
 
     def test_rejects_nonpositive_rho(self):
         with pytest.raises(ValueError):
@@ -47,23 +49,14 @@ class TestProxGaussian:
             sigma = random_spd(rng, n)
             rho = float(rng.uniform(0.1, 5.0))
             y = rng.normal(size=(3, n))
-            target = rng.normal(size=n)
+            targets = rng.normal(size=(3, n))
             cache = prox.gaussian_prox_cache(sigma, y, rho)
-            x = prox.prox_gaussian(cache, 1, target)
+            x = prox.prox_gaussian(cache, targets)
             sigma_inv = np.linalg.inv(sigma)
-            ref = np.linalg.solve(sigma_inv + rho * np.eye(n),
-                                  sigma_inv @ y[1] + rho * target)
-            assert np.abs(x - ref).max() < 1e-9
-
-    def test_batch_matches_per_index(self):
-        rng = np.random.default_rng(22)
-        sigma = random_spd(rng, 4)
-        y = rng.normal(size=(9, 4))
-        cache = prox.gaussian_prox_cache(sigma, y, 1.3)
-        targets = rng.normal(size=(9, 4))
-        batch = prox.prox_gaussian_batch(cache, targets)
-        for i in range(9):
-            assert np.array_equal(batch[i], prox.prox_gaussian(cache, i, targets[i]))
+            for i in range(3):
+                ref = np.linalg.solve(sigma_inv + rho * np.eye(n),
+                                      sigma_inv @ y[i] + rho * targets[i])
+                assert np.abs(x[i] - ref).max() < 1e-9
 
 
 class TestSoftThresholdGroup:
@@ -117,10 +110,13 @@ class TestSoftThresholdGroup:
     def test_rows_matches_vector(self):
         rng = np.random.default_rng(34)
         a = rng.normal(size=(7, 3))
-        out = prox.soft_threshold_group_rows(a, 0.9)
-        for i in range(7):
-            assert np.allclose(out[i], prox.soft_threshold_group(a[i], 0.9),
-                               atol=1e-15)
+        a[3] = 0.0
+        for kappa in (0.9, 0.0):
+            out = prox.soft_threshold_group(a, kappa)
+            assert np.array_equal(out[3], np.zeros(3))
+            for i in range(7):
+                assert np.allclose(out[i], prox.soft_threshold_group(a[i], kappa),
+                                   atol=1e-15)
 
 
 class TestSoftThresholdScalar:
