@@ -11,11 +11,14 @@ Data files are headerless comma-separated values, one time step per row;
 residual history files carry a single header row. All numbers are
 written with 17 significant digits. Exit codes: 0 converged, 1 input
 error, 2 iteration cap reached (results still written), 3 unbounded
-problem.
+problem. A converged ``mean`` whose estimate fails its optimality
+certificate still exits 0, with a warning on standard error.
 """
 
 import argparse
+import itertools
 import sys
+import warnings
 
 import numpy as np
 
@@ -37,6 +40,11 @@ EXIT_NOT_CONVERGED = 2
 EXIT_UNBOUNDED = 3
 
 _FLOAT_FMT = "%.17g"
+# Rows per formatted write in the CSV writers: big enough to amortize
+# the call, small enough that a block's floats and text stay a few
+# hundred kB and peak memory does not grow.
+_WRITE_BLOCK_ROWS = 512
+_HISTORY_FIELDS = ("iter", "primal", "dual", "eps_pri", "eps_dual")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,6 +61,27 @@ def read_matrix_csv(path):
     Raises ``ValueError`` with a line/column diagnostic on malformed
     input.
     """
+    try:
+        # An open handle, not the path: numpy's path handling would also
+        # open URLs and compressed files.
+        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+            # loadtxt only warns on a file with no data rows.
+            warnings.simplefilter("error", UserWarning)
+            # To loadtxt a whitespace-only line is a row with one empty
+            # field; to the line reader it is blank.
+            arr = np.loadtxt(itertools.filterfalse(str.isspace, fh),
+                             delimiter=",", ndmin=2, comments=None, dtype=float)
+    except (ValueError, UserWarning):
+        # loadtxt rejects some tokens float() accepts ("1_0") and words
+        # its errors differently, so the line reader decides: it returns
+        # the array or raises the diagnostic.
+        arr = _read_matrix_lines(path)
+    if not np.isfinite(arr).all():
+        raise ValueError("%s: contains non-finite values" % path)
+    return arr
+
+
+def _read_matrix_lines(path):
     rows = []
     width = None
     with open(path, "r", encoding="utf-8") as fh:
@@ -80,32 +109,33 @@ def read_matrix_csv(path):
             rows.append(row)
     if not rows:
         raise ValueError("%s: no data rows" % path)
-    arr = np.array(rows, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("%s: contains non-finite values" % path)
-    return arr
+    return np.array(rows, dtype=float)
 
 
 def write_matrix_csv(path, arr, header=None):
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
-    np.savetxt(path, arr, delimiter=",", fmt=_FLOAT_FMT,
-               header=header or "", comments="")
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(header + "\n")
+        _write_rows(fh, arr, ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n")
 
 
 def write_history_csv(path, history):
+    """Write a solver report's ``history`` array under a header row."""
+    # Iteration numbers are integers, exact as floats and printed by %d.
+    table = np.column_stack([np.asarray(history[name], dtype=float)
+                             for name in _HISTORY_FIELDS])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("iter,primal,dual,eps_pri,eps_dual\n")
-        for rec in history:
-            fh.write(
-                "%d,%s,%s,%s,%s\n"
-                % (
-                    rec["iter"],
-                    _FLOAT_FMT % rec["primal"],
-                    _FLOAT_FMT % rec["dual"],
-                    _FLOAT_FMT % rec["eps_pri"],
-                    _FLOAT_FMT % rec["eps_dual"],
-                )
-            )
+        fh.write(",".join(_HISTORY_FIELDS) + "\n")
+        _write_rows(fh, table, "%d" + ("," + _FLOAT_FMT) * 4 + "\n")
+
+
+def _write_rows(fh, arr, row_fmt):
+    # One format call and one write per block of rows: the text matches
+    # np.savetxt's row-at-a-time output, and memory stays flat.
+    for start in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
+        block = arr[start:start + _WRITE_BLOCK_ROWS]
+        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5,
@@ -198,6 +228,15 @@ def _cmd_mean(args):
             file=sys.stderr,
         )
         return EXIT_NOT_CONVERGED
+    if report.certificate_gap is not None and not report.polished:
+        # The residual stop can accept an estimate far from the optimum.
+        print(
+            "warning: converged, but the estimate fails its optimality "
+            "certificate (gap %.3g at lambda %.3g); it may be far from the "
+            "optimum: try smaller --eps-abs/--eps-rel"
+            % (report.certificate_gap, lam),
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

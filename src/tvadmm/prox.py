@@ -106,8 +106,15 @@ def soft_threshold_group(a, kappa):
         raise ValueError("kappa must be nonnegative, got %g" % kappa)
     a = np.asarray(a, dtype=float)
     norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        factor = np.where(norms > kappa, 1.0 - kappa / norms, 0.0)
+    if kappa == 0.0:
+        # Not a copy: a row whose squares underflow to a zero norm maps
+        # to zero, as the kappa > 0 branch does.
+        return a * (norms > 0.0)
+    # kappa / max(norm, kappa) is exactly 1 where the norm is at most
+    # kappa, so the factor there is exactly 0; fmax maps a NaN norm to
+    # kappa, which zeroes that row's finite entries as well.
+    factor = kappa / np.fmax(norms, kappa)
+    np.subtract(1.0, factor, out=factor)
     return factor * a
 
 

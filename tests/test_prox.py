@@ -119,6 +119,56 @@ class TestSoftThresholdGroup:
                                    atol=1e-15)
 
 
+def soft_threshold_group_reference(a, kappa):
+    # The earlier np.where formula, kept to pin the current one's bits.
+    norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(norms > kappa, 1.0 - kappa / norms, 0.0)
+    return factor * a
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+@st.composite
+def group_threshold_instances(draw):
+    m = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 4))
+    # Subnormals included: rows whose squared norm underflows to zero.
+    a = draw(arrays(float, (m, d),
+                    elements=st.floats(-1e150, 1e150, allow_nan=False)))
+    zero_rows = draw(arrays(bool, m))
+    a[zero_rows] = 0.0
+    kind = draw(st.sampled_from(["free", "zero", "row norm"]))
+    if kind == "zero":
+        kappa = 0.0
+    elif kind == "row norm":
+        # A row whose norm is exactly kappa.
+        row = a[draw(st.integers(0, m - 1))]
+        kappa = float(np.sqrt((row * row).sum()))
+    else:
+        kappa = draw(st.floats(0.0, 1e150))
+    return a, kappa
+
+
+class TestSoftThresholdGroupBits:
+    @settings(max_examples=400, deadline=None)
+    @given(group_threshold_instances())
+    def test_matches_reference_bits(self, instance):
+        a, kappa = instance
+        assert same_bits(prox.soft_threshold_group(a, kappa),
+                         soft_threshold_group_reference(a, kappa))
+
+    @pytest.mark.parametrize("kappa", [0.0, 1e-300, 1.0])
+    def test_nonfinite_rows_match_reference_bits(self, kappa):
+        a = np.array([[np.nan, 1.0], [np.inf, 2.0], [-np.inf, np.nan],
+                      [1e-170, -1e-170], [0.0, -0.0], [3.0, 4.0]])
+        with np.errstate(invalid="ignore"):  # 0 * inf, in both
+            assert same_bits(prox.soft_threshold_group(a, kappa),
+                             soft_threshold_group_reference(a, kappa))
+
+
 class TestSoftThresholdScalar:
     def test_componentwise_example(self):
         out = prox.soft_threshold_scalar(np.array([2.0, -0.5, 0.0]), 1.0)
