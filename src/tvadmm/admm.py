@@ -12,10 +12,12 @@ absolute-plus-relative test on the primal and dual residual norms.
 
 One iteration is a fixed sequence of whole-array operations: the two
 batch prox maps, one LDL^T tridiagonal solve in
-:func:`~tvadmm.projection.project`, and in-place relaxation, dual update
-and residual norms on preallocated (2N-1, d) arrays that stack each
-block part over its difference part. A single block (N = 1) runs the
-same loop, with zero difference rows.
+:func:`~tvadmm.projection.project` written into the consensus buffer,
+and in-place relaxation, dual update and residual norms on preallocated
+(2N-1, d) arrays that stack each block part over its difference part.
+A single block (N = 1) runs the same loop, with zero difference rows.
+The objective, when the problem has one, is evaluated only on a
+power-of-two schedule (see :class:`SolverReport`).
 """
 
 from dataclasses import dataclass, field
@@ -80,7 +82,11 @@ class ChainProblem:
     Optional pieces: an objective callback ``objective(x_blocks,
     r_blocks)`` used for the report's objective trace, and
     ``divergence_floor`` below which the objective trace triggers an
-    unbounded-problem error.
+    unbounded-problem error. The engine calls ``objective`` on the
+    consensus iterate (z, s) at iterations 1, 2, 4, 8, ... and at the
+    final iteration only, and checks the floor at each of those calls,
+    so a fall below the floor is caught at the next scheduled
+    iteration.
     """
 
     n_blocks: int
@@ -115,11 +121,17 @@ class SolverState:
 class SolverReport:
     """Outcome of a solve: solution, convergence flag and residual history.
 
-    When present, ``objective_trace[-1]`` is the objective at ``x_star``.
+    ``history`` has one row per iteration. When the problem has an
+    objective, ``objective_trace`` holds its value at iterations 1, 2,
+    4, 8, ... and at the final iteration, and ``objective_iters`` the
+    iteration number of each entry (so ``[1, 2, 4, 6]`` for a solve that
+    stops at iteration 6); both are None otherwise.
+    ``objective_trace[-1]`` is the objective at ``x_star``.
     ``polished`` is True when a post-processing step replaced the
     iterate with an exact optimum it certified (the mean filter does
     this); the trace then ends with one extra entry for the polished
-    estimate, while ``history``, ``iterations``, ``converged`` and
+    estimate, whose ``objective_iters`` entry repeats the final
+    iteration, while ``history``, ``iterations``, ``converged`` and
     ``state`` keep describing the iteration itself, so warm starts
     resume the iteration unchanged. ``certificate_gap`` is the largest
     violation of the optimality conditions found by that check (None
@@ -132,6 +144,7 @@ class SolverReport:
     converged: bool
     history: np.ndarray
     objective_trace: Optional[np.ndarray] = None
+    objective_iters: Optional[np.ndarray] = None
     state: Optional[SolverState] = field(default=None, repr=False)
     polished: bool = False
     certificate_gap: Optional[float] = None
@@ -146,7 +159,8 @@ def _norm(a):
     return math.sqrt(float(np.vdot(a, a)))
 
 
-def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel):
+def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel, xr_sq=None,
+              scratch=None):
     """Residual norms and tolerances for the stacked iterate at one step.
 
     Each array stacks a block part over its difference part, (2N - 1, d):
@@ -155,11 +169,19 @@ def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel):
     where primal is ||xr - zs||_2, dual is rho * ||zs - zs_prev||_2, and
     the tolerances use the square root of the stacked dimension
     (2N - 1) * d.
+
+    ``xr_sq``, when given, must be ``np.vdot(xr, xr)`` (the engine has
+    it from its finiteness check), and ``scratch``, when given, is a
+    float64 array shaped like ``xr`` that receives the differences; it
+    is overwritten. Either only saves work: the results are the same.
     """
     root_dim = math.sqrt(xr.size)
-    primal = _norm(xr - zs)
-    dual = rho * _norm(zs - zs_prev)
-    eps_pri = root_dim * eps_abs + eps_rel * max(_norm(xr), _norm(zs))
+    if scratch is None:
+        scratch = np.empty_like(xr)
+    primal = _norm(np.subtract(xr, zs, out=scratch))
+    dual = rho * _norm(np.subtract(zs, zs_prev, out=scratch))
+    xr_norm = _norm(xr) if xr_sq is None else math.sqrt(float(xr_sq))
+    eps_pri = root_dim * eps_abs + eps_rel * max(xr_norm, _norm(zs))
     eps_dual = root_dim * eps_abs + eps_rel * rho * _norm(ut)
     return primal, dual, eps_pri, eps_dual
 
@@ -222,6 +244,7 @@ def _solve_chain(problem, config, rho, initial, callback):
     n, d = problem.n_blocks, problem.block_dim
     chol = _cached_chain_factor(n)
     alpha = config.alpha
+    max_iter = int(config.max_iter)
     stacked = (2 * n - 1, d)
 
     xr = np.empty(stacked)
@@ -229,7 +252,6 @@ def _solve_chain(problem, config, rho, initial, callback):
     ut = np.zeros(stacked)
     zs_prev = np.empty(stacked)
     targets = np.empty(stacked)
-    relaxed = np.empty(stacked)
     scratch = np.empty(stacked)
     if initial is not None:
         zs[:n] = np.reshape(initial.z, (n, d))
@@ -239,12 +261,13 @@ def _solve_chain(problem, config, rho, initial, callback):
     x, r = xr[:n], xr[n:]
 
     phi, psi = problem.phi_prox_batch, problem.psi_prox_batch
+    objective, floor = problem.objective, problem.divergence_floor
     history = []
-    obj_trace = [] if problem.objective is not None else None
+    obj_trace, obj_iters = [], []
     converged = False
     iterations = 0
 
-    for k in range(1, int(config.max_iter) + 1):
+    for k in range(1, max_iter + 1):
         np.subtract(zs, ut, out=targets)
         # The reshape raises on a batch map result of the wrong size,
         # which a plain broadcast into the buffer would spread instead.
@@ -252,33 +275,40 @@ def _solve_chain(problem, config, rho, initial, callback):
         r[...] = np.reshape(psi(targets[n:], rho), (n - 1, d))
         # A finite sum of squares proves every entry finite. Otherwise
         # (a non-finite entry, or overflow) the exact check names the block.
-        if not math.isfinite(np.vdot(xr, xr)):
+        xr_sq = np.vdot(xr, xr)
+        if not math.isfinite(xr_sq):
             _check_finite(x, k, "block")
             _check_finite(r, k, "difference")
 
         # Over-relaxation blends the fresh iterate with the previous
-        # consensus before the projection and dual steps.
-        np.multiply(xr, alpha, out=relaxed)
+        # consensus; the projection target is that blend plus the dual,
+        # so the dual update (u, t) += blend - (z, s) is targets - (z, s).
+        np.multiply(xr, alpha, out=targets)
         np.multiply(zs, 1.0 - alpha, out=scratch)
-        relaxed += scratch
+        targets += scratch
+        targets += ut
         zs, zs_prev = zs_prev, zs
-        np.add(relaxed, ut, out=targets)
-        z, s = project(chol, targets[:n], targets[n:])
-        zs[:n] = z
-        zs[n:] = s
-        ut += relaxed
-        ut -= zs
+        # out= by keyword: callers that wrap project read (chol, w, v)
+        # from the positional arguments.
+        project(chol, targets[:n], targets[n:], out=zs)
+        np.subtract(targets, zs, out=ut)
 
         primal, dual, eps_pri, eps_dual = residuals(
-            xr, zs, zs_prev, ut, rho, config.eps_abs, config.eps_rel
+            xr, zs, zs_prev, ut, rho, config.eps_abs, config.eps_rel,
+            xr_sq=xr_sq, scratch=scratch,
         )
         history.append((k, primal, dual, eps_pri, eps_dual))
         iterations = k
+        # Overflowed norms compare inf <= inf; only finite ones may stop.
+        converged = (primal <= eps_pri < math.inf
+                     and dual <= eps_dual < math.inf)
 
-        if obj_trace is not None:
-            value = float(problem.objective(zs[:n], zs[n:]))
+        # k & (k - 1) is 0 exactly at the powers of two.
+        if objective is not None and (k & (k - 1) == 0 or converged
+                                      or k == max_iter):
+            value = float(objective(zs[:n], zs[n:]))
             obj_trace.append(value)
-            floor = problem.divergence_floor
+            obj_iters.append(k)
             if floor is not None and value < floor:
                 raise UnboundedProblemError(
                     "objective fell below %g at iteration %d; the problem "
@@ -288,17 +318,22 @@ def _solve_chain(problem, config, rho, initial, callback):
             callback(k, {"x": x, "r": r, "z": zs[:n], "s": zs[n:],
                          "u": ut[:n], "t": ut[n:]})
 
-        if primal <= eps_pri and dual <= eps_dual:
-            converged = True
+        if converged:
             break
 
     z, s = zs[:n].copy(), zs[n:].copy()
+    if objective is not None:
+        obj_trace = np.asarray(obj_trace)
+        obj_iters = np.asarray(obj_iters, dtype=np.int64)
+    else:
+        obj_trace = obj_iters = None
     return SolverReport(
         x_star=z,
         r_star=s,
         iterations=iterations,
         converged=converged,
         history=np.array(history, dtype=HISTORY_DTYPE),
-        objective_trace=None if obj_trace is None else np.asarray(obj_trace),
+        objective_trace=obj_trace,
+        objective_iters=obj_iters,
         state=SolverState(z=z.copy(), s=s.copy(), u=ut[:n].copy(), t=ut[n:].copy()),
     )

@@ -60,7 +60,9 @@ class VarianceFilterSpec:
     each block's data matrix (1 keeps the plain per-sample products;
     values above 1 help when the dimension exceeds 1, since a single
     outer product is rank one). ``divergence_floor`` is the objective
-    value below which the solve is declared unbounded.
+    value below which the solve is declared unbounded; it is checked at
+    the iterations where the solver evaluates the objective (see
+    :class:`~tvadmm.admm.ChainProblem`).
     """
 
     lam: float
@@ -167,8 +169,10 @@ def _polish_mean(report, problem, samples, sigma, lam):
         return replace(report, certificate_gap=gap)
     r_star = candidate[1:] - candidate[:-1]
     trace = np.append(report.objective_trace, problem.objective(candidate, r_star))
+    trace_iters = np.append(report.objective_iters, report.iterations)
     return replace(report, x_star=candidate, r_star=r_star,
-                   objective_trace=trace, polished=True, certificate_gap=gap)
+                   objective_trace=trace, objective_iters=trace_iters,
+                   polished=True, certificate_gap=gap)
 
 
 def _solve_on_partition(x, samples, sigma, sigma_inv, lam):
@@ -249,15 +253,17 @@ def _build_mean_problem(samples, sigma, lam, penalty, rho):
         n_blocks=n_samples,
         block_dim=dim,
         phi_prox_batch=phi,
-        psi_prox_batch=_difference_prox(lam, penalty),
+        psi_prox_batch=_difference_prox(lam, penalty, dim),
         objective=objective,
         default_rho=rho,
     )
 
 
-def _difference_prox(lam, penalty):
+def _difference_prox(lam, penalty, dim):
     # The batch prox of lam times the penalty, one row per difference.
-    if penalty is Penalty.GROUP:
+    # With one component the group threshold is the scalar one, which
+    # costs fewer array passes.
+    if penalty is Penalty.GROUP and dim > 1:
         threshold = prox.soft_threshold_group
     else:
         threshold = prox.soft_threshold_scalar
@@ -270,7 +276,8 @@ def _difference_prox(lam, penalty):
 
 def _penalty(r_blocks, penalty):
     # Sum of the penalty over the difference rows (0 when there are none).
-    if penalty is Penalty.GROUP:
+    # A row's l2 norm is its absolute value when it has one component.
+    if penalty is Penalty.GROUP and r_blocks.shape[1] > 1:
         return float(np.sqrt((r_blocks * r_blocks).sum(axis=1)).sum())
     return float(np.abs(r_blocks).sum())
 
@@ -393,7 +400,7 @@ def _build_variance_problem(grams, spec, rho):
         n_blocks=n_samples,
         block_dim=flat_dim,
         phi_prox_batch=phi,
-        psi_prox_batch=_difference_prox(spec.lam, spec.penalty),
+        psi_prox_batch=_difference_prox(spec.lam, spec.penalty, flat_dim),
         objective=objective,
         divergence_floor=spec.divergence_floor,
         default_rho=rho,

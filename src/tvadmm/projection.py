@@ -68,7 +68,7 @@ def chain_factor(n_blocks):
     return ChainCholesky(n_blocks=n_blocks, diag=diag, subdiag=subdiag, band=band)
 
 
-def project(chol, w, v):
+def project(chol, w, v, out=None):
     """Project (w, v) onto the chain subspace {(z, s) : s = Dz}.
 
     Parameters
@@ -80,12 +80,19 @@ def project(chol, w, v):
     v : (N-1, d) array_like
         Difference part paired with s; no rows when N = 1, where the
         projection returns w.
+    out : (2N-1, d) float64 ndarray, optional
+        Buffer that receives z in its first N rows and s in the other
+        N - 1; it must not share memory with ``w`` or ``v``. A new one
+        is allocated when omitted. With d = 1 the tridiagonal solve runs
+        in place in ``out``. An ``out`` of another shape or dtype raises
+        ``ValueError``.
 
     Returns
     -------
     z : (N, d) ndarray
     s : (N-1, d) ndarray
-        ``s`` is formed as the exact consecutive differences of ``z``.
+        Views of the first N and the last N - 1 rows of ``out``. ``s``
+        is formed as the exact consecutive differences of ``z``.
     """
     w = np.asarray(w, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -101,15 +108,26 @@ def project(chol, w, v):
         raise ValueError(
             "block dimensions differ: w has %d, v has %d" % (w.shape[1], v.shape[1])
         )
+    stacked = (2 * n - 1, w.shape[1])
+    if out is None:
+        out = np.empty(stacked)
+    elif (not isinstance(out, np.ndarray) or out.shape != stacked
+          or out.dtype != np.float64):
+        raise ValueError("out must be a float64 array of shape %s" % (stacked,))
+    z, s = out[:n], out[n:]
 
     # b = w + D^T v: b_i = (w_i + v_{i-1}) - v_i, without the missing ends.
-    b = w.copy()
-    b[1:] += v
-    b[:-1] -= v
-    # dpttrs wants max(N - 1, 1) subdiagonal entries, even for N = 1.
-    z, info = dpttrs(chol.band[0], chol.band[1, :max(n - 1, 1)], b,
-                     overwrite_b=True)
+    np.copyto(z, w)
+    z[1:] += v
+    z[:-1] -= v
+    # dpttrs wants max(N - 1, 1) subdiagonal entries, even for N = 1. It
+    # solves in place when z is Fortran-contiguous (so for d = 1 and a
+    # contiguous out); otherwise it returns a Fortran-ordered copy.
+    solved, info = dpttrs(chol.band[0], chol.band[1, :max(n - 1, 1)], z,
+                          overwrite_b=True)
     if info != 0:
         raise ValueError("dpttrs rejected argument %d" % -info)
-    s = z[1:] - z[:-1]
+    if solved is not z:
+        z[...] = solved
+    np.subtract(z[1:], z[:-1], out=s)
     return z, s

@@ -37,9 +37,13 @@ def group_soft(a, kappa):
     return (1.0 - kappa / norm) * a
 
 
-def textbook_chain_admm(samples, sigma, lam, rho, n_iter):
-    """Plain two-block ADMM (no relaxation) for the group-penalized mean
-    problem, with every update written out densely.
+def textbook_chain_admm(samples, sigma, lam, rho, n_iter, alpha=1.0):
+    """Two-block ADMM for the group-penalized mean problem, with every
+    update written out densely.
+
+    ``alpha`` is the over-relaxation: the projection and the dual update
+    use alpha * (x, r) + (1 - alpha) * (previous z, s) in place of
+    (x, r). The default 1.0 is plain ADMM.
 
     Returns the lists of x- and z-iterates (raveled), one entry per
     iteration.
@@ -63,14 +67,26 @@ def textbook_chain_admm(samples, sigma, lam, rho, n_iter):
         r = np.concatenate(
             [group_soft((s - t).reshape(n - 1, dim)[i], kappa) for i in range(n - 1)]
         )
-        z = np.linalg.solve(m, (x + u) + d.T @ (r + t))
+        x_hat = alpha * x + (1.0 - alpha) * z
+        r_hat = alpha * r + (1.0 - alpha) * s
+        z = np.linalg.solve(m, (x_hat + u) + d.T @ (r_hat + t))
         s_new = d @ z
-        u = u + x - z
-        t = t + r - s_new
+        u = u + x_hat - z
+        t = t + r_hat - s_new
         s = s_new
         xs.append(x.copy())
         zs.append(z.copy())
     return xs, zs
+
+
+def objective_schedule(iterations):
+    """Iterations at which the solver evaluates the objective in a solve
+    of ``iterations`` steps: the powers of two up to it, then the final
+    iteration itself."""
+    out = [2 ** j for j in range(iterations.bit_length())]
+    if out[-1] != iterations:
+        out.append(iterations)
+    return out
 
 
 def bisect_lambda_max(solve_constant, lo, hi, rel_tol=1e-4):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import textbook_chain_admm
-from tvadmm import admm
+from oracles import objective_schedule, textbook_chain_admm
+from tvadmm import admm, filters
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (MeanFilterSpec, Penalty, VarianceFilterSpec,
                             _build_mean_problem, _build_variance_problem,
@@ -210,6 +210,112 @@ class TestSolve:
         with pytest.raises(UnboundedProblemError):
             admm.solve(problem, admm.SolverConfig(rho=1.0, max_iter=2000))
 
+    def test_overflowing_residuals_do_not_stop(self):
+        # The iterates grow past 1e154, where every residual norm and
+        # tolerance overflows to inf; inf <= inf is not convergence.
+        problem = admm.ChainProblem(
+            n_blocks=4,
+            block_dim=1,
+            phi_prox_batch=lambda t, rho: -t + 1e160,
+            psi_prox_batch=lambda t, rho: t,
+        )
+        report = admm.solve(problem, admm.SolverConfig(rho=1.0, max_iter=50))
+        assert not report.converged
+        assert report.iterations == 50
+        assert np.isinf(report.history[-1]["primal"])
+
+
+class TestObjectiveSchedule:
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(58)
+        samples = np.repeat(rng.normal(size=(3, 2)), 5, axis=0)
+        samples += 0.2 * rng.normal(size=samples.shape)
+        return mean_problem(samples, lam=0.5, rho=0.5)
+
+    @pytest.mark.parametrize("max_iter, expected", [
+        (1, [1]),
+        (8, [1, 2, 4, 8]),
+        (6, [1, 2, 4, 6]),
+        (13, [1, 2, 4, 8, 13]),
+    ])
+    def test_evaluated_at_powers_of_two_and_the_last_iteration(
+            self, max_iter, expected):
+        problem = self.problem()
+        seen = {}
+        report = admm.solve(
+            problem,
+            admm.SolverConfig(rho=0.5, eps_abs=1e-300, eps_rel=1e-300,
+                              max_iter=max_iter),
+            callback=lambda k, info: seen.update(
+                {k: problem.objective(info["z"], info["s"])}),
+        )
+        assert report.iterations == max_iter
+        assert report.objective_iters.dtype == np.int64
+        assert report.objective_iters.tolist() == expected
+        assert report.objective_trace.tolist() == [seen[k] for k in expected]
+
+    def test_converged_solve_ends_at_its_last_iteration(self):
+        report = admm.solve(self.problem(), admm.SolverConfig(rho=0.5))
+        assert report.converged
+        # Not a power of two, so the last entry is the extra final one.
+        assert report.iterations & (report.iterations - 1) != 0
+        assert report.objective_iters.tolist() == objective_schedule(
+            report.iterations)
+        assert report.objective_trace.size == report.objective_iters.size
+
+    def test_no_objective_no_trace(self):
+        problem = admm.ChainProblem(
+            n_blocks=3, block_dim=1, phi_prox_batch=lambda t, rho: 0.5 * t,
+            psi_prox_batch=lambda t, rho: t,
+        )
+        report = admm.solve(problem, admm.SolverConfig(rho=1.0, max_iter=5))
+        assert report.objective_trace is None
+        assert report.objective_iters is None
+
+    @pytest.mark.parametrize("max_iter, raised_at", [(100, 8), (6, 6)])
+    def test_divergence_floor_checked_at_each_evaluation(self, max_iter,
+                                                         raised_at):
+        # One block at alpha = 1 moves z_k = k exactly, so the objective
+        # -z_k first falls below -5 at iteration 6; the next evaluation is
+        # at iteration 8, or at the final iteration when that comes first.
+        problem = admm.ChainProblem(
+            n_blocks=1,
+            block_dim=1,
+            phi_prox_batch=lambda t, rho: t + 1.0,
+            psi_prox_batch=lambda t, rho: t,
+            objective=lambda x, r: -float(x.sum()),
+            divergence_floor=-5.0,
+        )
+        seen = []
+        with pytest.raises(UnboundedProblemError,
+                           match="at iteration %d;" % raised_at):
+            admm.solve(problem,
+                       admm.SolverConfig(rho=1.0, alpha=1.0, max_iter=max_iter),
+                       callback=lambda k, info: seen.append(k))
+        assert seen == list(range(1, raised_at))
+
+    @pytest.mark.parametrize("case", ["polished", "group", "variance"])
+    def test_trace_ends_at_the_returned_estimate(self, case):
+        rng = np.random.default_rng(12)
+        if case == "variance":
+            data = np.concatenate([rng.normal(size=30), 3.0 * rng.normal(size=30)])
+            spec = VarianceFilterSpec(lam=2.0)
+            _, report = filters.variance_filter(data, spec)
+            problem = _build_variance_problem(
+                filters._trailing_gram_average(data[:, None], 1), spec, 2.0)
+        else:
+            if case == "polished":
+                data = np.concatenate([rng.normal(0, 0.5, 15),
+                                       rng.normal(3, 0.5, 15)])[:, None]
+            else:
+                data = rng.normal(size=(20, 2))
+            _, report = mean_filter(data, MeanFilterSpec(lam=2.0))
+            problem = mean_problem(data, lam=2.0, rho=2.0)
+        assert report.polished == (case == "polished")
+        assert report.objective_trace[-1] == problem.objective(report.x_star,
+                                                               report.r_star)
+
 
 class TestEngineState:
     """The engine updates its working arrays in place; nothing it returns
@@ -266,32 +372,43 @@ class TestEngineState:
         assert not np.shares_memory(first.x_star, first.state.z)
 
 
+def assert_matches_textbook_loop(seed, n, dim, alpha):
+    # 50 iterations of the group-penalized mean problem against the dense
+    # textbook loop, iterate by iterate.
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(n, dim))
+    m = rng.normal(size=(dim, dim))
+    sigma = m.T @ m + np.eye(dim)
+    lam, rho = 0.6, 0.9
+    n_iter = 50
+
+    xs_ref, zs_ref = textbook_chain_admm(samples, sigma, lam, rho, n_iter,
+                                         alpha=alpha)
+
+    captured = []
+    problem = _build_mean_problem(samples, sigma, lam, Penalty.GROUP, rho)
+    admm.solve(
+        problem,
+        admm.SolverConfig(rho=rho, alpha=alpha, eps_abs=1e-300, eps_rel=1e-300,
+                          max_iter=n_iter),
+        callback=lambda k, info: captured.append(
+            (info["x"].copy(), info["z"].copy())
+        ),
+    )
+    assert len(captured) == n_iter
+    for (x_mine, z_mine), x_ref, z_ref in zip(captured, xs_ref, zs_ref):
+        assert np.abs(x_mine.ravel() - x_ref).max() < 1e-12
+        assert np.abs(z_mine.ravel() - z_ref).max() < 1e-12
+
+
 class TestPlainAdmmEquivalence:
     def test_alpha_one_matches_textbook_loop(self):
-        rng = np.random.default_rng(60)
-        n, dim = 5, 2
-        samples = rng.normal(size=(n, dim))
-        m = rng.normal(size=(dim, dim))
-        sigma = m.T @ m + np.eye(dim)
-        lam, rho = 0.6, 0.9
-        n_iter = 50
+        assert_matches_textbook_loop(60, 5, 2, alpha=1.0)
 
-        xs_ref, zs_ref = textbook_chain_admm(samples, sigma, lam, rho, n_iter)
-
-        captured = []
-        problem = _build_mean_problem(samples, sigma, lam, Penalty.GROUP, rho)
-        admm.solve(
-            problem,
-            admm.SolverConfig(rho=rho, alpha=1.0, eps_abs=1e-300, eps_rel=1e-300,
-                              max_iter=n_iter),
-            callback=lambda k, info: captured.append(
-                (info["x"].copy(), info["z"].copy())
-            ),
-        )
-        assert len(captured) == n_iter
-        for (x_mine, z_mine), x_ref, z_ref in zip(captured, xs_ref, zs_ref):
-            assert np.abs(x_mine.ravel() - x_ref).max() < 1e-12
-            assert np.abs(z_mine.ravel() - z_ref).max() < 1e-12
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_relaxed_matches_textbook_loop(self, dim):
+        # dim = 1 runs the group penalty through the scalar threshold.
+        assert_matches_textbook_loop(62, 6, dim, alpha=1.8)
 
     def test_objective_approaches_reference_optimum(self):
         rng = np.random.default_rng(61)

@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from oracles import bisect_lambda_max
+from oracles import bisect_lambda_max, objective_schedule
 from tvadmm import SolverConfig, filters
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
@@ -132,7 +132,10 @@ class TestPolish:
             SolverConfig(rho=lam, eps_abs=1e-8, eps_rel=1e-8, max_iter=100000),
         )
         assert report.polished
-        assert report.objective_trace.size == report.iterations + 1
+        # The scheduled evaluations, then the polished estimate's entry.
+        assert report.objective_iters.tolist() == (
+            objective_schedule(report.iterations) + [report.iterations])
+        assert report.objective_trace.size == report.objective_iters.size
         # Optimality conditions, recomputed here: weighted residual
         # partial sums bounded by lam, equal to lam * sign at jumps, zero
         # at the end.
@@ -174,7 +177,9 @@ class TestPolish:
         _, report = mean_filter(data, MeanFilterSpec(lam=2.0), SolverConfig())
         assert not report.polished
         assert report.certificate_gap is None
-        assert report.objective_trace.size == report.iterations
+        assert report.objective_iters.tolist() == objective_schedule(
+            report.iterations)
+        assert report.objective_trace.size == report.objective_iters.size
 
     def test_variance_filter_not_polished(self):
         _, report = variance_filter(np.array([1.0, 2.0, 1.5]),

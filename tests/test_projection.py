@@ -160,6 +160,11 @@ class TestProject:
             project(chol, np.zeros((3, 1)), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             project(chol, np.zeros(3), np.zeros(2))
+        w, v = np.zeros((3, 2)), np.zeros((2, 2))
+        for bad in (np.empty((5, 1)), np.empty((5, 2), dtype=np.float32),
+                    np.empty((5, 2)).tolist()):
+            with pytest.raises(ValueError):
+                project(chol, w, v, out=bad)
 
 
 @st.composite
@@ -191,3 +196,13 @@ class TestProjectProperties:
         z_ref, s_ref = dense_project(w, v)
         assert np.abs(z - z_ref).max() <= 1e-10 * scale
         assert np.abs(s - s_ref).max() <= 1e-10 * scale
+
+        # Into a caller's buffer: the same bits, as views of that buffer.
+        n, d = w.shape
+        buf = np.full((2 * n - 1, d), np.nan)
+        z_out, s_out = project(chain_factor(n), w, v, out=buf)
+        assert np.shares_memory(z_out, buf[:n]) and np.shares_memory(s_out, buf[n:])
+        assert z_out.tobytes() == z.tobytes()
+        assert s_out.tobytes() == s.tobytes()
+        with pytest.raises(ValueError):
+            project(chain_factor(n), w, v, out=np.empty((2 * n, d)))
