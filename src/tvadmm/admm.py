@@ -86,7 +86,10 @@ class ChainProblem:
     consensus iterate (z, s) at iterations 1, 2, 4, 8, ... and at the
     final iteration only, and checks the floor at each of those calls,
     so a fall below the floor is caught at the next scheduled
-    iteration.
+    iteration. After iteration k that can be up to k iterations later:
+    an iterate that grows fast enough to overflow in that gap ends the
+    solve with ``NumericalFailureError`` (a non-finite prox result)
+    instead of ``UnboundedProblemError``.
     """
 
     n_blocks: int
@@ -159,8 +162,7 @@ def _norm(a):
     return math.sqrt(float(np.vdot(a, a)))
 
 
-def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel, xr_sq=None,
-              scratch=None):
+def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel):
     """Residual norms and tolerances for the stacked iterate at one step.
 
     Each array stacks a block part over its difference part, (2N - 1, d):
@@ -169,19 +171,11 @@ def residuals(xr, zs, zs_prev, ut, rho, eps_abs, eps_rel, xr_sq=None,
     where primal is ||xr - zs||_2, dual is rho * ||zs - zs_prev||_2, and
     the tolerances use the square root of the stacked dimension
     (2N - 1) * d.
-
-    ``xr_sq``, when given, must be ``np.vdot(xr, xr)`` (the engine has
-    it from its finiteness check), and ``scratch``, when given, is a
-    float64 array shaped like ``xr`` that receives the differences; it
-    is overwritten. Either only saves work: the results are the same.
     """
     root_dim = math.sqrt(xr.size)
-    if scratch is None:
-        scratch = np.empty_like(xr)
-    primal = _norm(np.subtract(xr, zs, out=scratch))
-    dual = rho * _norm(np.subtract(zs, zs_prev, out=scratch))
-    xr_norm = _norm(xr) if xr_sq is None else math.sqrt(float(xr_sq))
-    eps_pri = root_dim * eps_abs + eps_rel * max(xr_norm, _norm(zs))
+    primal = _norm(xr - zs)
+    dual = rho * _norm(zs - zs_prev)
+    eps_pri = root_dim * eps_abs + eps_rel * max(_norm(xr), _norm(zs))
     eps_dual = root_dim * eps_abs + eps_rel * rho * _norm(ut)
     return primal, dual, eps_pri, eps_dual
 
@@ -275,8 +269,7 @@ def _solve_chain(problem, config, rho, initial, callback):
         r[...] = np.reshape(psi(targets[n:], rho), (n - 1, d))
         # A finite sum of squares proves every entry finite. Otherwise
         # (a non-finite entry, or overflow) the exact check names the block.
-        xr_sq = np.vdot(xr, xr)
-        if not math.isfinite(xr_sq):
+        if not math.isfinite(np.vdot(xr, xr)):
             _check_finite(x, k, "block")
             _check_finite(r, k, "difference")
 
@@ -294,8 +287,7 @@ def _solve_chain(problem, config, rho, initial, callback):
         np.subtract(targets, zs, out=ut)
 
         primal, dual, eps_pri, eps_dual = residuals(
-            xr, zs, zs_prev, ut, rho, config.eps_abs, config.eps_rel,
-            xr_sq=xr_sq, scratch=scratch,
+            xr, zs, zs_prev, ut, rho, config.eps_abs, config.eps_rel
         )
         history.append((k, primal, dual, eps_pri, eps_dual))
         iterations = k

@@ -295,6 +295,36 @@ class TestObjectiveSchedule:
                        callback=lambda k, info: seen.append(k))
         assert seen == list(range(1, raised_at))
 
+    def test_overflow_between_evaluations_is_a_numerical_failure(self):
+        # z_k = k up to iteration 16, an evaluation that passes the floor;
+        # then z grows by 1e150 a step and overflows at iteration 19, long
+        # before the next evaluation at iteration 32 would see the floor.
+        calls = []
+
+        def phi(targets, rho):
+            calls.append(None)
+            if len(calls) <= 16:
+                return targets + 1.0
+            with np.errstate(over="ignore"):
+                return targets * 1e150
+
+        problem = admm.ChainProblem(
+            n_blocks=1,
+            block_dim=1,
+            phi_prox_batch=phi,
+            psi_prox_batch=lambda t, rho: t,
+            objective=lambda x, r: -float(x.sum()),
+            divergence_floor=-1e6,
+        )
+        seen = []
+        with pytest.raises(NumericalFailureError) as err:
+            admm.solve(problem,
+                       admm.SolverConfig(rho=1.0, alpha=1.0, max_iter=100),
+                       callback=lambda k, info: seen.append(k))
+        assert err.value.iteration == 19
+        assert err.value.block_index == 0
+        assert seen == list(range(1, 19))
+
     @pytest.mark.parametrize("case", ["polished", "group", "variance"])
     def test_trace_ends_at_the_returned_estimate(self, case):
         rng = np.random.default_rng(12)
