@@ -17,6 +17,7 @@ certificate still exits 0, with a warning on standard error.
 
 import argparse
 import itertools
+import os
 import sys
 import warnings
 
@@ -131,11 +132,26 @@ def write_history_csv(path, history):
 
 
 def _write_rows(fh, arr, row_fmt):
-    # One format call and one write per block of rows: the text matches
-    # np.savetxt's row-at-a-time output, and memory stays flat.
+    # One write per block of rows: the text matches np.savetxt's
+    # row-at-a-time output, and memory stays flat. Piecewise-constant
+    # output (synth truth, mean estimates) is mostly long runs of equal
+    # rows, so each run of bit-identical rows in a block is formatted
+    # once and its text repeated. Bits, not ==, decide equality: -0.0
+    # and 0.0 print differently.
     for start in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
-        block = arr[start:start + _WRITE_BLOCK_ROWS]
-        fh.write((row_fmt * block.shape[0]) % tuple(block.ravel().tolist()))
+        block = np.ascontiguousarray(arr[start:start + _WRITE_BLOCK_ROWS])
+        bits = block.view(np.uint64)
+        firsts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
+        n_rows = block.shape[0]
+        if 2 * (len(firsts) + 1) > n_rows:
+            # Mostly distinct rows: one format call for the whole block.
+            fh.write((row_fmt * n_rows) % tuple(block.ravel().tolist()))
+            continue
+        bounds = [0, *firsts.tolist(), n_rows]
+        fh.write("".join(
+            (row_fmt % tuple(row)) * (stop - first)
+            for row, first, stop in zip(block[bounds[:-1]].tolist(),
+                                        bounds, bounds[1:])))
 
 
 def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5,
@@ -257,8 +273,8 @@ def _cmd_var(args):
     write_matrix_csv(args.output, estimate.covariance.reshape(n_samples, dim * dim))
     x_output = args.x_output
     if x_output is None:
-        stem, dot, ext = args.output.rpartition(".")
-        x_output = (stem + "_precision." + ext) if dot else args.output + "_precision"
+        stem, ext = os.path.splitext(args.output)
+        x_output = stem + "_precision" + ext
     write_matrix_csv(x_output, estimate.precision.reshape(n_samples, dim * dim))
     write_history_csv(args.residuals, report.history)
     if not report.converged:

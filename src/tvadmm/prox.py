@@ -121,13 +121,18 @@ def soft_threshold_group(a, kappa):
 def soft_threshold_scalar(a, kappa):
     """Componentwise soft thresholding: sign(a_j) * max(|a_j| - kappa, 0).
 
-    Computed as a - clip(a, -kappa, kappa), which gives the same values
-    in two array passes.
+    Computed as a - clip(a, -kappa, kappa), which gives the same values.
+    The clip is spelled maximum(minimum(a, kappa), -kappa) in one
+    buffer: this skips np.clip's Python-level wrapper and keeps its
+    bits, where the other nesting order gives -0.0 for a = -0.0 at
+    kappa = 0.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative, got %g" % kappa)
     a = np.asarray(a, dtype=float)
-    return a - np.clip(a, -kappa, kappa)
+    clipped = np.minimum(a, kappa, out=np.empty_like(a))
+    np.maximum(clipped, -kappa, out=clipped)
+    return np.subtract(a, clipped, out=clipped)
 
 
 def _mu_from_eigenvalues(lam, rho):

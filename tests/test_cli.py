@@ -1,9 +1,10 @@
 import gzip
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
-from tvadmm import cli, lambda_max_mean
+from tvadmm import cli, lambda_max_mean, segments
 from tvadmm.admm import HISTORY_DTYPE
 
 
@@ -108,6 +109,16 @@ def wide_values(rng, shape):
     return arr
 
 
+BLOCK = cli._WRITE_BLOCK_ROWS
+EDGE_VALUES = [-0.0, 0.0, np.nan, 5e-324, -2.2e-308, 1.7e308, -1.7e308, 0.1,
+               1.0 / 3.0]
+
+
+def matrix_bytes(tmp_path, arr):
+    cli.write_matrix_csv(str(tmp_path / "out.csv"), arr)
+    return (tmp_path / "out.csv").read_bytes()
+
+
 @pytest.mark.filterwarnings("error")
 class TestCsvWriters:
     @pytest.mark.parametrize("shape", [
@@ -142,6 +153,85 @@ class TestCsvWriters:
         history = np.array([tuple(float(v) for v in line.split(","))
                             for line in lines], dtype=HISTORY_DTYPE)
         assert res.read_bytes() == history_reference(history)
+
+    @pytest.mark.parametrize("run", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_runs_across_block_edges(self, tmp_path, run):
+        rows = wide_values(np.random.default_rng(run), (5, 3))
+        arr = np.repeat(rows, [run, 1, run, 2, run], axis=0)
+        assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
+
+    @pytest.mark.parametrize("arr", [
+        np.full((3 * BLOCK + 7, 2), -2.5),
+        np.tile([[1.0, 2.0], [3.0, 4.0]], (BLOCK + 5, 1)),
+        np.tile(np.repeat([[1.0, 2.0], [3.0, 4.0]], 2, axis=0), (BLOCK // 2 + 1, 1)),
+    ], ids=["all-equal", "alternating", "runs-of-two"])
+    def test_equal_and_alternating_rows(self, tmp_path, arr):
+        assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
+
+    @pytest.mark.parametrize("rows", [
+        [[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0]],
+        [[np.nan, 1.0], [-np.nan, 1.0], [np.nan, np.nan]],
+        [[5e-324, -5e-324], [-2.2e-308, 2.2250738585072014e-308], [1e-320, 1e-320]],
+        [[1.7e308, -1.7e308], [-1.7e308, 1.7e308], [np.finfo(float).max, 0.0]],
+    ], ids=["signed-zero", "nan", "subnormal", "huge"])
+    def test_bit_distinct_rows_not_merged(self, tmp_path, rows):
+        # Rows that == misjudges (signed zeros, NaNs) and extreme
+        # magnitudes, each in runs that span a block edge.
+        arr = np.repeat(np.array(rows), [BLOCK + 1, 3, BLOCK], axis=0)
+        arr = np.concatenate([arr, arr[::-1]])
+        assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
+
+    def test_header_row_over_runs(self, tmp_path):
+        arr = np.repeat([[1.5, -0.0], [0.25, 3.0]], [BLOCK + 2, 4], axis=0)
+        cli.write_matrix_csv(str(tmp_path / "out.csv"), arr, header="a,b")
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"a,b\n" + savetxt_reference(tmp_path / "ref.csv", arr))
+
+    def test_history_with_repeated_rows(self, tmp_path):
+        history = np.zeros(3 * BLOCK, dtype=HISTORY_DTYPE)
+        history["iter"] = np.repeat([1, 2, 7], [BLOCK + 1, 2, 2 * BLOCK - 3])
+        history["primal"] = np.repeat([0.5, 0.5, 1e-300], [BLOCK + 1, 2, 2 * BLOCK - 3])
+        history["dual"][::2] = np.pi
+        history["eps_pri"] = 1.0 / 3.0
+        cli.write_history_csv(str(tmp_path / "hist.csv"), history)
+        assert (tmp_path / "hist.csv").read_bytes() == history_reference(history)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_rows_from_a_small_pool(self, tmp_path_factory, data):
+        width = data.draw(st.integers(1, 3))
+        value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
+        pool = data.draw(st.lists(st.lists(value, min_size=width, max_size=width),
+                                  min_size=1, max_size=4))
+        run = st.one_of(st.integers(1, 4), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]),
+                        st.integers(1, 2 * BLOCK + 3))
+        runs = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), run),
+                                  min_size=1, max_size=6))
+        arr = np.repeat(np.array(pool, dtype=float)[[i for i, _ in runs]],
+                        [n for _, n in runs], axis=0)
+        tmp = tmp_path_factory.mktemp("pool")
+        assert matrix_bytes(tmp, arr) == savetxt_reference(tmp / "ref.csv", arr)
+
+    def test_synth_truth_file(self, tmp_path):
+        truth_path = tmp_path / "truth.csv"
+        code = cli.main(["synth", "--output", str(tmp_path / "data.csv"),
+                         "--truth", str(truth_path), "--seed", "9",
+                         "--n-samples", str(3 * BLOCK + 11), "--dim", "2"])
+        assert code == cli.EXIT_OK
+        _, truth, _ = cli.generate_piecewise_data(9, 3 * BLOCK + 11, 2)
+        assert truth_path.read_bytes() == savetxt_reference(tmp_path / "ref.csv", truth)
+
+    def test_polished_mean_output(self, tmp_path, capsys):
+        data, _, _ = cli.generate_piecewise_data(4, 2 * BLOCK + 5)
+        path = tmp_path / "in.csv"
+        cli.write_matrix_csv(str(path), data)
+        code, out, _ = run_mean(tmp_path, path, "--lambda-frac", "0.1",
+                                "--eps-abs", "1e-6", "--eps-rel", "1e-6")
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""  # certified, so polished
+        estimates = cli.read_matrix_csv(str(out))
+        assert len(segments(estimates)) < 20
+        assert out.read_bytes() == savetxt_reference(tmp_path / "ref.csv", estimates)
 
     @pytest.mark.parametrize("shape", [(1, 1), (300, 2), (cli._WRITE_BLOCK_ROWS + 1, 9)])
     def test_round_trip_is_bit_exact(self, tmp_path, shape):
@@ -284,6 +374,25 @@ class TestVarCommand:
         assert code == cli.EXIT_OK
         prec = cli.read_matrix_csv(str(tmp_path / "cov_precision.csv"))
         cov = cli.read_matrix_csv(str(out))
+        assert np.abs(prec * cov - 1.0).max() < 1e-8
+
+    @pytest.mark.parametrize("output, precision", [
+        ("cov.csv", "cov_precision.csv"),
+        ("cov", "cov_precision"),
+        ("./cov", "./cov_precision"),
+        ("run.d/cov", "run.d/cov_precision"),
+        (".cov", ".cov_precision"),
+    ])
+    def test_precision_path_derived_from_output(self, tmp_path, monkeypatch,
+                                                output, precision):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.d").mkdir()
+        write_lines(tmp_path / "in.csv", "1\n2\n1.5\n")
+        code = cli.main(["var", "--input", "in.csv", "--output", output,
+                         "--residuals", "hist.csv", "--lambda", "5"])
+        assert code == cli.EXIT_OK
+        cov = cli.read_matrix_csv(output)
+        prec = cli.read_matrix_csv(precision)
         assert np.abs(prec * cov - 1.0).max() < 1e-8
 
     def test_unbounded_exit_code(self, tmp_path, capsys):

@@ -186,6 +186,33 @@ class TestSoftThresholdScalar:
         with pytest.raises(ValueError):
             prox.soft_threshold_scalar(np.ones(2), -1.0)
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_clip_formula_bits(self, data):
+        a = data.draw(arrays(float, data.draw(st.tuples(st.integers(1, 30),
+                                                        st.integers(1, 3)))))
+        flat = a.ravel()
+        kind = data.draw(st.sampled_from(["free", "zero", "entry"]))
+        if kind == "zero":
+            kappa = 0.0
+        elif kind == "entry":
+            # |a_j| = kappa exactly, for some entry j.
+            kappa = abs(float(flat[data.draw(st.integers(0, flat.size - 1))]))
+            if np.isnan(kappa):
+                kappa = 1.0
+        else:
+            kappa = data.draw(st.floats(0.0, allow_nan=False))
+        with np.errstate(invalid="ignore"):  # inf - inf, in both
+            assert same_bits(prox.soft_threshold_scalar(a, kappa),
+                             a - np.clip(a, -kappa, kappa))
+
+    def test_edge_entries_match_clip_formula_bits(self):
+        a = np.array([np.nan, -0.0, 0.0, 1.0, -1.0, 5e-324, -np.inf, 2.0])
+        for kappa in (0.0, 1.0, 5e-324):
+            with np.errstate(invalid="ignore"):
+                assert same_bits(prox.soft_threshold_scalar(a, kappa),
+                                 a - np.clip(a, -kappa, kappa))
+
 
 class TestProxNegLogdet:
     def test_scalar_zero_target(self):
