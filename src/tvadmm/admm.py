@@ -21,7 +21,6 @@ power-of-two schedule (see :class:`SolverReport`).
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 import math
 from typing import Callable, Optional
 
@@ -56,14 +55,16 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.rho is not None and not self.rho > 0.0:
-            raise ValueError("rho must be positive, got %g" % self.rho)
+        if self.rho is not None and not 0.0 < self.rho < math.inf:
+            raise ValueError("rho must be positive and finite, got %g" % self.rho)
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError("alpha must lie in [1, 2), got %g" % self.alpha)
-        if not self.eps_abs > 0.0:
-            raise ValueError("eps_abs must be positive")
-        if not self.eps_rel > 0.0:
-            raise ValueError("eps_rel must be positive")
+        if not 0.0 < self.eps_abs < math.inf:
+            raise ValueError("eps_abs must be positive and finite, got %g"
+                             % self.eps_abs)
+        if not 0.0 < self.eps_rel < math.inf:
+            raise ValueError("eps_rel must be positive and finite, got %g"
+                             % self.eps_rel)
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -153,11 +154,6 @@ class SolverReport:
     certificate_gap: Optional[float] = None
 
 
-@lru_cache(maxsize=64)
-def _cached_chain_factor(n_blocks):
-    return chain_factor(n_blocks)
-
-
 def _norm(a):
     return math.sqrt(float(np.vdot(a, a)))
 
@@ -236,7 +232,7 @@ def _solve_chain(problem, config, rho, initial, callback):
     # in one (2N - 1, d) array with the N block rows first, so relaxation,
     # the dual update and the residual norms act on whole arrays in place.
     n, d = problem.n_blocks, problem.block_dim
-    chol = _cached_chain_factor(n)
+    chol = chain_factor(n)
     alpha = config.alpha
     max_iter = int(config.max_iter)
     stacked = (2 * n - 1, d)

@@ -13,8 +13,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import spsolve
+from scipy.linalg.lapack import dpbsv
 
 from . import linalg, prox
 from .admm import ChainProblem, SolverConfig, solve
@@ -47,8 +46,8 @@ class MeanFilterSpec:
     sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative, got %g" % self.lam)
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative, got %g" % self.lam)
         self.penalty = Penalty(self.penalty)
 
 
@@ -71,8 +70,8 @@ class VarianceFilterSpec:
     divergence_floor: float = -1e8
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lambda must be nonnegative, got %g" % self.lam)
+        if not 0.0 <= self.lam < np.inf:
+            raise ValueError("lam must be finite and nonnegative, got %g" % self.lam)
         if int(self.window) < 1:
             raise ValueError("window must be >= 1, got %s" % self.window)
         self.penalty = Penalty(self.penalty)
@@ -118,11 +117,13 @@ def mean_filter(data, spec, config=None):
     After the iteration stops, the estimate is polished: the segment
     partition and jump signs read off the iterate (per component, with
     the :func:`segments` default tolerance) define an equality-constrained
-    quadratic problem whose solution is exact on that partition. The
-    polished estimate replaces the iterate only when it satisfies the
-    optimality conditions (see ``report.polished`` and
-    ``report.certificate_gap``); otherwise the iterate is returned
-    unchanged. The group penalty with n > 1 is not polished.
+    quadratic problem. Its solution, exact on that partition, comes from
+    one banded LAPACK solve for the optimality multipliers, whatever the
+    noise covariance. The polished estimate replaces the iterate only
+    when it satisfies the optimality conditions (see ``report.polished``
+    and ``report.certificate_gap``, which is inf when the solve fails);
+    otherwise the iterate is returned unchanged. The group penalty with
+    n > 1 is not polished.
 
     Parameters
     ----------
@@ -147,23 +148,25 @@ def mean_filter(data, spec, config=None):
             "sigma dimension %d does not match data dimension %d"
             % (sigma.shape[0], dim)
         )
-    rho = _resolve_rho(config, spec.lam)
-    problem = _build_mean_problem(samples, sigma, spec.lam, spec.penalty, rho)
+    cache = prox.gaussian_prox_cache(sigma, samples, _resolve_rho(config, spec.lam))
+    problem = _build_mean_problem(samples, cache, spec.lam, spec.penalty)
     report = solve(problem, config)
     if spec.penalty is Penalty.ELEMENTWISE or dim == 1:
-        report = _polish_mean(report, problem, samples, sigma, spec.lam)
+        report = _polish_mean(report, problem, samples, sigma, cache.sigma_inv,
+                              spec.lam)
     estimates = report.x_star[:, 0] if was_1d else report.x_star
     return estimates, report
 
 
-def _polish_mean(report, problem, samples, sigma, lam):
+def _polish_mean(report, problem, samples, sigma, sigma_inv, lam):
     # Elementwise penalty (any penalty when n = 1): optimal x satisfy
     # P_k = sum_{j<=k} sigma^{-1} (x_j - y_j) in lam * sign(x_{k+1} - x_k)
     # componentwise (anything in [-lam, lam] where the jump is zero), with
-    # P_N = 0. Fixing the partition and the jump signs makes the penalty
-    # linear, so the candidate solves one linear system.
-    sigma_inv = linalg.spd_inverse(sigma)
-    candidate = _solve_on_partition(report.x_star, samples, sigma, sigma_inv, lam)
+    # P_N = 0. Fixing the partition and the jump signs fixes P at the
+    # jumps, and the other multipliers solve one linear system.
+    candidate = _solve_on_partition(report.x_star, samples, sigma, lam)
+    if candidate is None:
+        return replace(report, certificate_gap=np.inf)
     gap, slack = _mean_certificate(candidate, samples, sigma_inv, lam)
     if not gap <= slack:
         return replace(report, certificate_gap=gap)
@@ -175,42 +178,55 @@ def _polish_mean(report, problem, samples, sigma, lam):
                    polished=True, certificate_gap=gap)
 
 
-def _solve_on_partition(x, samples, sigma, sigma_inv, lam):
-    # Minimize the objective over estimates constant on each component's
-    # segments of x, with the penalty linearized at the jump signs of x.
-    # With levels c, the penalty is lam * q^T c, where a segment's q is
-    # the sign of the jump into it minus the sign of the jump out of it.
+def _solve_on_partition(x, samples, sigma, lam):
+    # The candidate on each component's segments of x. Its multipliers P
+    # (one row per difference) give x = y + (P_j - P_{j-1}) sigma, with
+    # P_0 = P_N = 0. P is fixed to lam * sign(r) at the jumps of x (A);
+    # the free ones (I) make r vanish inside the segments:
+    #     ((D D^T) (x) sigma)_II P_I = (Dy)_I - (((D D^T) (x) sigma) P_A)_I.
+    # In (k, c) row-major order this is banded SPD with half-bandwidth
+    # 2n - 1; rows and columns of A become identity rows holding P_A.
+    # Returns None when LAPACK finds the system not positive definite.
     n_samples, dim = x.shape
-    labels = np.empty((n_samples, dim), dtype=np.int64)
-    q = []
+    jumps = np.empty((n_samples - 1, dim), dtype=bool)
     for c in range(dim):
         col = x[:, c:c + 1]
-        jumps = _jumps(col, _default_segment_tol(col))
-        signs = np.sign(np.diff(col[:, 0]))[jumps]
-        labels[:, c] = np.concatenate(([0], np.cumsum(jumps))) + len(q)
-        padded = np.concatenate(([0.0], signs, [0.0]))
-        q.extend(padded[:-1] - padded[1:])
-    q = np.asarray(q)
+        jumps[:, c] = _jumps(col, _default_segment_tol(col))
+    edge = np.zeros((1, dim))
 
-    if dim == 1:
-        counts = np.bincount(labels[:, 0])
-        sums = np.bincount(labels[:, 0], weights=samples[:, 0])
-        levels = (sums - sigma[0, 0] * lam * q) / counts
-        return levels[labels]
+    def estimate(multipliers):
+        steps = np.diff(multipliers, axis=0, prepend=edge, append=edge)
+        return samples + steps @ sigma
 
-    # x = B c with B the sample-to-segment indicator; the reduced normal
-    # equations are B^T W B c = B^T W y - lam q with W = I (x) sigma^{-1}.
-    indicator = sparse.csr_matrix(
-        (np.ones(n_samples * dim), (np.arange(n_samples * dim), labels.ravel())),
-        shape=(n_samples * dim, len(q)),
-    )
-    weight = sparse.kron(sparse.identity(n_samples), sigma_inv, format="csr")
-    weighted = weight @ indicator
-    levels = spsolve(
-        (indicator.T @ weighted).tocsc(),
-        weighted.T @ samples.ravel() - lam * q,
-    )
-    return np.asarray(levels)[labels]
+    fixed = np.where(jumps, lam * np.sign(np.diff(x, axis=0)), 0.0)
+    # The differences of the estimate from P_A alone are Dy - K P_A.
+    rhs = np.where(jumps, fixed, np.diff(estimate(fixed), axis=0)).ravel()
+
+    # Lower band storage: band[u, j] = K[j + u, j] for K = (D D^T) (x) sigma,
+    # whose entry at (k, c), (k', c') is (D D^T)[k, k'] sigma[c, c'].
+    offsets = np.arange(2 * dim)[:, None] + np.arange(dim)
+    pattern = np.select([offsets < dim, offsets < 2 * dim], [2.0, -1.0])
+    pattern = pattern * sigma[offsets % dim, np.arange(dim)]
+    band = np.tile(pattern, (1, n_samples - 1))
+    # Keep band[u, j] only where multipliers j and j + u are both free.
+    free = ~jumps.ravel()
+    reach = np.concatenate((free, np.zeros(2 * dim, dtype=bool)))
+    for u in range(2 * dim):
+        band[u] *= free & reach[u:u + free.size]
+    band[0, ~free] = 1.0
+    _, multipliers, info = dpbsv(band, rhs, lower=True)
+    if info != 0:
+        return None
+    multipliers = multipliers.reshape(n_samples - 1, dim)
+
+    # Averaging each component over its segments makes r exactly 0 there.
+    labels = np.concatenate((np.zeros((1, dim), dtype=np.int64),
+                             np.cumsum(jumps, axis=0)))
+    labels += np.concatenate(([0], np.cumsum(labels[-1] + 1)[:-1]))
+    flat = labels.ravel()
+    solved = estimate(multipliers).ravel()
+    levels = np.bincount(flat, weights=solved) / np.bincount(flat)
+    return levels[labels]
 
 
 def _mean_certificate(x, samples, sigma_inv, lam):
@@ -232,9 +248,8 @@ def _mean_certificate(x, samples, sigma_inv, lam):
     return gap, 16.0 * x.shape[0] * np.finfo(float).eps * scale
 
 
-def _build_mean_problem(samples, sigma, lam, penalty, rho):
+def _build_mean_problem(samples, cache, lam, penalty):
     n_samples, dim = samples.shape
-    cache = prox.gaussian_prox_cache(sigma, samples, rho)
     sigma_inv = cache.sigma_inv
 
     def phi(targets, rho_k):
@@ -255,7 +270,7 @@ def _build_mean_problem(samples, sigma, lam, penalty, rho):
         phi_prox_batch=phi,
         psi_prox_batch=_difference_prox(lam, penalty, dim),
         objective=objective,
-        default_rho=rho,
+        default_rho=cache.rho,
     )
 
 

@@ -3,14 +3,14 @@
 ``sym_eig`` and ``symmetrize`` take one matrix or a stack (..., n, n) and
 hand the work to LAPACK through :mod:`numpy.linalg`, so a whole sequence
 of per-block matrices costs one call. ``spd_factor`` and ``spd_solve``
-are a plain Cholesky factorization and triangular solve for one small
-matrix; the factorization reports the pivot that failed.
+are LAPACK's Cholesky factorization and solve (``dpotrf``, ``dpotrs``)
+for one small matrix; the factorization reports the pivot that failed.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .exceptions import NotPositiveDefiniteError, NumericalFailureError
 
@@ -102,22 +102,17 @@ def spd_factor(a):
     Raises
     ------
     NotPositiveDefiniteError
-        If a non-positive pivot is encountered; the error records the
-        zero-based pivot index.
+        If ``dpotrf`` meets a non-positive pivot; the error records its
+        zero-based index and the value ``dpotrf`` left on the diagonal.
     """
     a = symmetrize(a)
     if a.ndim != 2:
         raise ValueError("expected a square matrix, got shape %s" % (a.shape,))
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    for j in range(n):
-        pivot = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if not pivot > 0.0:
-            raise NotPositiveDefiniteError(j, pivot)
-        ljj = math.sqrt(pivot)
-        lower[j, j] = ljj
-        if j + 1 < n:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / ljj
+    lower, info = dpotrf(a, lower=True, clean=True)
+    if info > 0:
+        raise NotPositiveDefiniteError(info - 1, lower[info - 1, info - 1])
+    if info < 0:
+        raise ValueError("dpotrf rejected argument %d" % -info)
     return lower
 
 
@@ -129,22 +124,15 @@ def spd_solve(factor, b):
     """
     factor = np.asarray(factor, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = factor.shape[0]
-    vector_rhs = b.ndim == 1
-    if vector_rhs:
-        b = b[:, None]
-    if b.ndim != 2 or b.shape[0] != n:
+    if b.ndim not in (1, 2) or b.shape[0] != factor.shape[0]:
         raise ValueError(
             "right-hand side shape %s does not match factor dimension %d"
-            % (b.shape, n)
+            % (b.shape, factor.shape[0])
         )
-    y = np.empty_like(b)
-    for i in range(n):
-        y[i] = (b[i] - factor[i, :i] @ y[:i]) / factor[i, i]
-    x = np.empty_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - factor[i + 1:, i] @ x[i + 1:]) / factor[i, i]
-    return x[:, 0] if vector_rhs else x
+    x, info = dpotrs(factor, b, lower=True)
+    if info != 0:
+        raise ValueError("dpotrs rejected argument %d" % -info)
+    return x
 
 
 def spd_inverse(a):

@@ -7,65 +7,62 @@ onto that subspace reduces to the normal equations
     (I + D^T D) z = w + D^T v,      s = D z,
 
 where D is the forward difference operator. I + D^T D is symmetric
-positive definite and tridiagonal (per column of the blocks), with a
-Cholesky factor whose scalar coefficients follow a short recursion. The
-factor is cached once as LAPACK's LDL^T form of a tridiagonal matrix, so
-each projection is one LDL^T tridiagonal solve (``dpttrs``) over all d
-columns, O(N d) time.
+positive definite and tridiagonal (per column of the blocks):
+tridiag(-1, [2, 3, ..., 3, 2], -1). LAPACK's ``dpttrf`` factors it once
+as LDL^T, and each projection is one ``dpttrs`` solve with that factor
+over all d columns, O(N d) time.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
-from scipy.linalg.lapack import dpttrs
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 
 @dataclass(frozen=True)
 class ChainCholesky:
-    """Scalar Cholesky coefficients of I + D^T D for ``n_blocks`` blocks.
+    """Factor of I + D^T D for ``n_blocks`` blocks.
 
-    ``diag`` holds the N diagonal coefficients l_ii and ``subdiag`` the
-    N-1 subdiagonal ones l_{i+1,i}. ``band`` holds the same factor as
-    LDL^T with L unit lower bidiagonal, the form LAPACK's ``dpttrs``
-    consumes: row 0 is D (d_i = l_ii^2), row 1 the subdiagonal of L
-    (e_i = l_{i+1,i} / l_ii) padded with a trailing zero.
+    ``band`` holds it as LDL^T with L unit lower bidiagonal, the form
+    LAPACK's ``dpttrf`` returns and ``dpttrs`` consumes: row 0 is D, row
+    1 the subdiagonal of L padded with a trailing zero.
     """
 
     n_blocks: int
-    diag: np.ndarray
-    subdiag: np.ndarray
     band: np.ndarray
+
+    @property
+    def diag(self):
+        """The N diagonal coefficients l_ii of the Cholesky factor LL^T."""
+        return np.sqrt(self.band[0])
+
+    @property
+    def subdiag(self):
+        """The N - 1 subdiagonal coefficients l_{i+1,i} of the Cholesky factor."""
+        return self.band[1, :-1] * self.diag[:-1]
 
 
 def chain_factor(n_blocks):
-    """Compute the chain Cholesky coefficients for ``n_blocks`` >= 1.
+    """Factor I + D^T D for ``n_blocks`` >= 1 with one ``dpttrf`` call.
 
-    The coefficients start at sqrt(2), interior rows satisfy
-    l_{i+1,i} = -1/l_{i,i} and l_{i+1,i+1} = sqrt(3 - l_{i+1,i}^2), and
-    the last row closes with l_{N,N} = sqrt(2 - l_{N,N-1}^2). A single
-    block has no differences, so its factor is the 1x1 identity. The
-    coefficients depend only on N, so the result can be computed once
-    and reused for every projection of that length.
+    A single block has no differences, so its factor is the 1x1
+    identity.
     """
     n_blocks = int(n_blocks)
     if n_blocks < 1:
         raise ValueError("chain_factor requires at least 1 block; got %d" % n_blocks)
-    if n_blocks == 1:
-        return ChainCholesky(n_blocks=1, diag=np.ones(1), subdiag=np.empty(0),
-                             band=np.array([[1.0], [0.0]]))
-    diag = np.empty(n_blocks)
-    subdiag = np.empty(n_blocks - 1)
-    diag[0] = math.sqrt(2.0)
-    for i in range(n_blocks - 2):
-        subdiag[i] = -1.0 / diag[i]
-        diag[i + 1] = math.sqrt(3.0 - subdiag[i] * subdiag[i])
-    subdiag[n_blocks - 2] = -1.0 / diag[n_blocks - 2]
-    diag[n_blocks - 1] = math.sqrt(2.0 - subdiag[n_blocks - 2] ** 2)
+    # Each diagonal entry is 1 plus the block's number of neighbours.
     band = np.zeros((2, n_blocks))
-    band[0] = diag * diag
-    band[1, :-1] = subdiag / diag[:-1]
-    return ChainCholesky(n_blocks=n_blocks, diag=diag, subdiag=subdiag, band=band)
+    band[0] = 3.0
+    band[0, 0] -= 1.0
+    band[0, -1] -= 1.0
+    band[1, :-1] = -1.0
+    # dpttrf, like dpttrs, wants max(N - 1, 1) subdiagonal entries.
+    sub = max(n_blocks - 1, 1)
+    band[0], band[1, :sub], info = dpttrf(band[0], band[1, :sub])
+    if info != 0:
+        raise ValueError("dpttrf failed with info %d" % info)
+    return ChainCholesky(n_blocks=n_blocks, band=band)
 
 
 def project(chol, w, v, out=None):

@@ -120,3 +120,25 @@ def fused_lasso_dual(samples, lam):
     dt = difference_operator(y.size, 1).T
     dual = lsq_linear(dt, y, bounds=(-lam, lam), method="bvls", tol=1e-14)
     return y - dt @ dual.x
+
+
+def partition_optimum(samples, sigma, lam, jumps, signs):
+    """Minimizer of the mean objective over estimates that may jump only at
+    ``jumps``, with the penalty linearized at the jump ``signs``.
+
+    Minimizes 0.5 sum_j (x_j - y_j)^T sigma^{-1} (x_j - y_j)
+    + lam * sum_{(k, c) in jumps} signs[k, c] (x_{k+1, c} - x_{k, c})
+    subject to x_{k+1, c} = x_{k, c} wherever ``jumps`` is False, by one
+    dense solve of the KKT system.
+    """
+    y = np.asarray(samples, dtype=float)
+    n, dim = y.shape
+    weight = np.kron(np.eye(n), np.linalg.inv(sigma))
+    d = difference_operator(n, dim)
+    active = np.asarray(jumps, dtype=bool).ravel()
+    fixed = d[~active]
+    linear = lam * d[active].T @ np.asarray(signs, dtype=float).ravel()[active]
+    m = fixed.shape[0]
+    kkt = np.block([[weight, fixed.T], [fixed, np.zeros((m, m))]])
+    rhs = np.concatenate((weight @ y.ravel() - linear, np.zeros(m)))
+    return np.linalg.solve(kkt, rhs)[:n * dim].reshape(n, dim)

@@ -293,7 +293,8 @@ def _per_iteration_times(sizes, repeats=5):
     for n_samples in sizes:
         data = np.random.default_rng(n_samples).normal(size=(n_samples, 1))
         problems.append(
-            _build_mean_problem(data, np.eye(1), 1.0, Penalty.GROUP, 1.0))
+            _build_mean_problem(data, prox.gaussian_prox_cache(np.eye(1), data, 1.0),
+                                1.0, Penalty.GROUP))
         admm.solve(problems[-1], config)  # warm-up (allocator and caches)
     times = [[] for _ in sizes]
     for _ in range(repeats):
@@ -338,7 +339,8 @@ def test_criterion_10_plain_admm_equivalence():
 
     xs_ref, zs_ref = textbook_chain_admm(samples, sigma, lam, rho, n_iter)
     captured = []
-    problem = _build_mean_problem(samples, sigma, lam, Penalty.GROUP, rho)
+    cache = prox.gaussian_prox_cache(sigma, samples, rho)
+    problem = _build_mean_problem(samples, cache, lam, Penalty.GROUP)
     admm.solve(
         problem,
         SolverConfig(rho=rho, alpha=1.0, eps_abs=1e-300, eps_rel=1e-300,
@@ -360,7 +362,8 @@ def test_criterion_10_plain_admm_equivalence():
 def _unpolished_protocol_solve(instance):
     data = np.asarray(instance["data"], dtype=float).reshape(-1, 1)
     lam = instance["lam"]
-    problem = _build_mean_problem(data, np.eye(1), lam, Penalty.ELEMENTWISE, lam)
+    cache = prox.gaussian_prox_cache(np.eye(1), data, lam)
+    problem = _build_mean_problem(data, cache, lam, Penalty.ELEMENTWISE)
     return admm.solve(problem, instance["config"])
 
 

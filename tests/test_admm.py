@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import objective_schedule, textbook_chain_admm
-from tvadmm import admm, filters
+from tvadmm import admm, filters, prox
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (MeanFilterSpec, Penalty, VarianceFilterSpec,
                             _build_mean_problem, _build_variance_problem,
@@ -15,7 +15,8 @@ def mean_problem(samples, lam, rho, sigma=None, penalty=Penalty.GROUP):
         samples = samples.T
     dim = samples.shape[1]
     sigma = np.eye(dim) if sigma is None else sigma
-    return _build_mean_problem(samples, sigma, lam, penalty, rho)
+    cache = prox.gaussian_prox_cache(sigma, samples, rho)
+    return _build_mean_problem(samples, cache, lam, penalty)
 
 
 class TestSolverConfig:
@@ -42,6 +43,13 @@ class TestSolverConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             admm.SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("field", ["rho", "eps_abs", "eps_rel"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_rejects_non_finite_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match="^%s must be positive and finite"
+                           % field):
+            admm.SolverConfig(**{field: value})
 
 
 class TestResiduals:
@@ -87,7 +95,8 @@ class TestSolve:
         # variance filter with data matrix G.
         tight = admm.SolverConfig(rho=0.7, eps_abs=1e-12, eps_rel=1e-12)
         y = np.array([[0.8, -1.3, 2.5]])
-        problem = _build_mean_problem(y, np.eye(3), 2.0, Penalty.GROUP, 0.7)
+        cache = prox.gaussian_prox_cache(np.eye(3), y, 0.7)
+        problem = _build_mean_problem(y, cache, 2.0, Penalty.GROUP)
         report = admm.solve(problem, tight)
         assert report.converged
         assert report.r_star.shape == (0, 3)
@@ -416,7 +425,8 @@ def assert_matches_textbook_loop(seed, n, dim, alpha):
                                          alpha=alpha)
 
     captured = []
-    problem = _build_mean_problem(samples, sigma, lam, Penalty.GROUP, rho)
+    cache = prox.gaussian_prox_cache(sigma, samples, rho)
+    problem = _build_mean_problem(samples, cache, lam, Penalty.GROUP)
     admm.solve(
         problem,
         admm.SolverConfig(rho=rho, alpha=alpha, eps_abs=1e-300, eps_rel=1e-300,

@@ -1,9 +1,14 @@
 import gzip
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import tvadmm
 from tvadmm import cli, lambda_max_mean, segments
 from tvadmm.admm import HISTORY_DTYPE
 
@@ -303,6 +308,15 @@ class TestMeanCommand:
         assert code == cli.EXIT_INPUT
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--lambda", "--lambda-frac"])
+    def test_nan_lambda_is_input_error(self, tmp_path, capsys, flag):
+        data = write_lines(tmp_path / "in.csv", "1\n2\n")
+        code, out, _ = run_mean(tmp_path, data, flag, "nan")
+        assert code == cli.EXIT_INPUT
+        assert "error: lam must be finite and nonnegative, got nan" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_lambda_and_frac_exclusive(self, tmp_path):
         data = write_lines(tmp_path / "in.csv", "1\n2\n")
         code, _, _ = run_mean(tmp_path, data, "--lambda", "1",
@@ -503,3 +517,14 @@ def test_no_subcommand_is_input_error(capsys):
     assert cli.main([]) == cli.EXIT_INPUT
     assert "usage" in capsys.readouterr().err
 
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # A fresh interpreter, since this one may have loaded scipy.sparse
+    # for other tests.
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tvadmm.__file__).resolve().parents[1]))
+    probe = ("import sys, tvadmm, tvadmm.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+    result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                            capture_output=True, text=True, timeout=120)
+    assert result.stdout.strip() == "[]"

@@ -3,7 +3,7 @@ import pytest
 
 from dataclasses import replace
 
-from oracles import bisect_lambda_max, objective_schedule
+from oracles import bisect_lambda_max, objective_schedule, partition_optimum
 from tvadmm import SolverConfig, filters
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
@@ -15,6 +15,7 @@ from tvadmm.filters import (
     segments,
     variance_filter,
     _mean_certificate,
+    _solve_on_partition,
     _trailing_gram_average,
 )
 
@@ -51,6 +52,12 @@ class TestMeanFilter:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             MeanFilterSpec(lam=-0.1)
+
+    @pytest.mark.parametrize("spec_type", [MeanFilterSpec, VarianceFilterSpec])
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_lambda_rejected(self, spec_type, lam):
+        with pytest.raises(ValueError, match="^lam must be finite"):
+            spec_type(lam=lam)
 
     def test_constant_above_lambda_max(self):
         # At the shipped default tolerances the stopping rule leaves ~1e-3
@@ -170,6 +177,43 @@ class TestPolish:
         assert gap <= slack
         gap, slack = _mean_certificate(best + 0.1, data, np.eye(1), lam)
         assert gap == pytest.approx(3.0) and gap > slack
+
+    @pytest.mark.parametrize("dim, sigma_kind", [
+        (1, "scalar"), (2, "scalar"), (2, "diagonal"), (2, "correlated"),
+        (3, "diagonal"), (3, "correlated"),
+    ])
+    @pytest.mark.parametrize("n_samples, partition", [
+        (1, "random"), (2, "none"), (2, "all"), (9, "none"), (9, "all"),
+        (9, "random"), (40, "random"),
+    ])
+    def test_partition_solve_matches_dense_kkt(self, dim, sigma_kind,
+                                               n_samples, partition):
+        # With a scalar or diagonal sigma a segment's average depends only
+        # on the multipliers fixed at its ends; the correlated cases with a
+        # random partition are the ones that exercise the banded solve.
+        rng = np.random.default_rng(100 * dim + n_samples)
+        m = rng.normal(size=(dim, dim))
+        sigma = {
+            "scalar": 1.7 * np.eye(dim),
+            "diagonal": np.diag(rng.uniform(0.5, 2.0, size=dim)),
+            "correlated": m @ m.T + 0.5 * np.eye(dim),
+        }[sigma_kind]
+        samples = rng.normal(size=(n_samples, dim))
+        jumps = {
+            "none": np.zeros((n_samples - 1, dim), dtype=bool),
+            "all": np.ones((n_samples - 1, dim), dtype=bool),
+            "random": rng.uniform(size=(n_samples - 1, dim)) < 0.2,
+        }[partition]
+        signs = np.where(rng.uniform(size=jumps.shape) < 0.5, -1.0, 1.0)
+        # Unit steps with those signs: the polish reads exactly this
+        # partition off the iterate.
+        iterate = np.concatenate((np.zeros((1, dim)),
+                                  np.cumsum(np.where(jumps, signs, 0.0), axis=0)))
+        lam = 0.8
+        candidate = _solve_on_partition(iterate, samples, sigma, lam)
+        expected = partition_optimum(samples, sigma, lam, jumps, signs)
+        assert np.abs(candidate - expected).max() <= 1e-10
+        assert (np.diff(candidate, axis=0)[~jumps] == 0.0).all()
 
     def test_multivariate_group_penalty_not_polished(self):
         rng = np.random.default_rng(6)

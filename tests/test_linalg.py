@@ -114,6 +114,7 @@ class TestSpdFactor:
         with pytest.raises(NotPositiveDefiniteError) as err:
             linalg.spd_factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert err.value.pivot_index == 1
+        assert err.value.pivot_value == -3.0
 
     def test_rejects_stack(self):
         with pytest.raises(ValueError):

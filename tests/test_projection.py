@@ -54,6 +54,9 @@ class TestChainFactor:
         with pytest.raises(ValueError):
             chain_factor(0)
 
+    def test_single_block_factor_is_identity(self):
+        assert np.array_equal(chain_factor(1).band, [[1.0], [0.0]])
+
     def test_single_block_projects_to_itself(self):
         # No differences to couple: the projection is the identity.
         w = np.array([[1.5, -2.0, 3.25]])
