@@ -22,6 +22,7 @@ power-of-two schedule (see :class:`SolverReport`).
 
 from dataclasses import dataclass, field
 import math
+import numbers
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,12 +41,22 @@ HISTORY_DTYPE = np.dtype(
 )
 
 
+def whole_count(name, value):
+    """``value`` as an int: a finite whole number >= 1 (so ``1e5`` is
+    accepted), else ``ValueError`` naming the setting ``name``."""
+    if not (isinstance(value, numbers.Real) and value >= 1
+            and float(value).is_integer()):
+        raise ValueError("%s must be a whole number >= 1, got %r" % (name, value))
+    return int(value)
+
+
 @dataclass
 class SolverConfig:
     """Penalty, relaxation, tolerances and the iteration cap.
 
-    ``rho=None`` defers to the problem's preferred penalty (the filters
-    use their regularization weight when it is positive, else 1).
+    ``rho=None`` lets the caller pick the penalty: ``solve`` uses 1, and
+    the filters use their regularization weight when it is positive,
+    else 1. ``max_iter`` is stored as an int.
     """
 
     rho: Optional[float] = None
@@ -65,8 +76,7 @@ class SolverConfig:
         if not 0.0 < self.eps_rel < math.inf:
             raise ValueError("eps_rel must be positive and finite, got %g"
                              % self.eps_rel)
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be >= 1")
+        self.max_iter = whole_count("max_iter", self.max_iter)
 
 
 @dataclass
@@ -78,7 +88,9 @@ class ChainProblem:
     Phi_i(x) + (rho/2)||x - targets[i]||^2. ``psi_prox_batch(targets,
     rho)`` does the same for the difference costs Psi_i over an
     (n_blocks - 1, block_dim) array, which has no rows when n_blocks is
-    1. A result of the wrong size raises ``ValueError``.
+    1. A result of the wrong size raises ``ValueError``. Both maps are
+    called with the ``rho`` of the solve's config (1 when it is None).
+    ``n_blocks`` and ``block_dim`` are stored as ints.
 
     Optional pieces: an objective callback ``objective(x_blocks,
     r_blocks)`` used for the report's objective trace, and
@@ -99,13 +111,10 @@ class ChainProblem:
     psi_prox_batch: Callable[[np.ndarray, float], np.ndarray]
     objective: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     divergence_floor: Optional[float] = None
-    default_rho: float = 1.0
 
     def __post_init__(self):
-        if int(self.n_blocks) < 1:
-            raise ValueError("n_blocks must be >= 1")
-        if int(self.block_dim) < 1:
-            raise ValueError("block_dim must be >= 1")
+        self.n_blocks = whole_count("n_blocks", self.n_blocks)
+        self.block_dim = whole_count("block_dim", self.block_dim)
 
 
 @dataclass
@@ -127,31 +136,48 @@ class SolverReport:
 
     ``history`` has one row per iteration. When the problem has an
     objective, ``objective_trace`` holds its value at iterations 1, 2,
-    4, 8, ... and at the final iteration, and ``objective_iters`` the
-    iteration number of each entry (so ``[1, 2, 4, 6]`` for a solve that
-    stops at iteration 6); both are None otherwise.
+    4, 8, ... and at the final iteration (None otherwise), and
     ``objective_trace[-1]`` is the objective at ``x_star``.
     ``polished`` is True when a post-processing step replaced the
     iterate with an exact optimum it certified (the mean filter does
     this); the trace then ends with one extra entry for the polished
-    estimate, whose ``objective_iters`` entry repeats the final
-    iteration, while ``history``, ``iterations``, ``converged`` and
+    estimate, while ``history``, ``iterations``, ``converged`` and
     ``state`` keep describing the iteration itself, so warm starts
     resume the iteration unchanged. ``certificate_gap`` is the largest
     violation of the optimality conditions found by that check (None
-    when no check ran).
+    when no check ran). ``r_star`` and ``objective_iters`` are derived
+    from these fields.
     """
 
     x_star: np.ndarray
-    r_star: np.ndarray
     iterations: int
     converged: bool
     history: np.ndarray
     objective_trace: Optional[np.ndarray] = None
-    objective_iters: Optional[np.ndarray] = None
     state: Optional[SolverState] = field(default=None, repr=False)
     polished: bool = False
     certificate_gap: Optional[float] = None
+
+    @property
+    def r_star(self):
+        """The consecutive differences of ``x_star`` (no rows for one block)."""
+        return np.diff(self.x_star, axis=0)
+
+    @property
+    def objective_iters(self):
+        """The iteration number of each ``objective_trace`` entry, as int64
+        (``[1, 2, 4, 6]`` for a solve that stops at iteration 6; a polished
+        estimate's entry repeats the final iteration), or None."""
+        if self.objective_trace is None:
+            return None
+        last = self.iterations
+        iters = [1 << j for j in range(last.bit_length())]
+        # Nonzero unless last is a power of two, already in the list.
+        if last & (last - 1):
+            iters.append(last)
+        if self.polished:
+            iters.append(last)
+        return np.array(iters, dtype=np.int64)
 
 
 def _norm(a):
@@ -201,7 +227,8 @@ def solve(problem, config=None, initial=None, callback=None):
     ----------
     problem : ChainProblem
     config : SolverConfig, optional
-        Defaults to ``SolverConfig()``.
+        Defaults to ``SolverConfig()``. Its ``rho`` is handed to both prox
+        maps; None means 1.
     initial : SolverState, optional
         Warm start; all-zero state otherwise. Its arrays are copied, never
         modified.
@@ -215,26 +242,19 @@ def solve(problem, config=None, initial=None, callback=None):
     -------
     SolverReport
         The solution is reported from the projected (feasible) side, so
-        ``r_star`` equals the exact consecutive differences of ``x_star``
-        (no rows for a single block). Its arrays are copies, independent
-        of any later solve.
+        its consecutive differences ``r_star`` are exact. Its arrays are
+        copies, independent of any later solve.
     """
     if config is None:
         config = SolverConfig()
-    rho = config.rho if config.rho is not None else problem.default_rho
-    if not rho > 0.0:
-        raise ValueError("resolved rho must be positive, got %g" % rho)
-    return _solve_chain(problem, config, rho, initial, callback)
+    rho = 1.0 if config.rho is None else config.rho
 
-
-def _solve_chain(problem, config, rho, initial, callback):
     # Each pair -- (x, r), (z, s), (u, t) and the previous (z, s) -- lives
     # in one (2N - 1, d) array with the N block rows first, so relaxation,
     # the dual update and the residual norms act on whole arrays in place.
     n, d = problem.n_blocks, problem.block_dim
     chol = chain_factor(n)
-    alpha = config.alpha
-    max_iter = int(config.max_iter)
+    alpha, max_iter = config.alpha, config.max_iter
     stacked = (2 * n - 1, d)
 
     xr = np.empty(stacked)
@@ -253,7 +273,7 @@ def _solve_chain(problem, config, rho, initial, callback):
     phi, psi = problem.phi_prox_batch, problem.psi_prox_batch
     objective, floor = problem.objective, problem.divergence_floor
     history = []
-    obj_trace, obj_iters = [], []
+    obj_trace = []
     converged = False
     iterations = 0
 
@@ -296,7 +316,6 @@ def _solve_chain(problem, config, rho, initial, callback):
                                       or k == max_iter):
             value = float(objective(zs[:n], zs[n:]))
             obj_trace.append(value)
-            obj_iters.append(k)
             if floor is not None and value < floor:
                 raise UnboundedProblemError(
                     "objective fell below %g at iteration %d; the problem "
@@ -309,19 +328,12 @@ def _solve_chain(problem, config, rho, initial, callback):
         if converged:
             break
 
-    z, s = zs[:n].copy(), zs[n:].copy()
-    if objective is not None:
-        obj_trace = np.asarray(obj_trace)
-        obj_iters = np.asarray(obj_iters, dtype=np.int64)
-    else:
-        obj_trace = obj_iters = None
     return SolverReport(
-        x_star=z,
-        r_star=s,
+        x_star=zs[:n].copy(),
         iterations=iterations,
         converged=converged,
         history=np.array(history, dtype=HISTORY_DTYPE),
-        objective_trace=obj_trace,
-        objective_iters=obj_iters,
-        state=SolverState(z=z.copy(), s=s.copy(), u=ut[:n].copy(), t=ut[n:].copy()),
+        objective_trace=None if objective is None else np.asarray(obj_trace),
+        state=SolverState(z=zs[:n].copy(), s=zs[n:].copy(), u=ut[:n].copy(),
+                          t=ut[n:].copy()),
     )

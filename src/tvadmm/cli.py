@@ -23,7 +23,7 @@ import warnings
 
 import numpy as np
 
-from .admm import SolverConfig
+from .admm import HISTORY_DTYPE, SolverConfig
 from .exceptions import NumericalFailureError, UnboundedProblemError
 from .filters import (
     MeanFilterSpec,
@@ -45,7 +45,6 @@ _FLOAT_FMT = "%.17g"
 # the call, small enough that a block's floats and text stay a few
 # hundred kB and peak memory does not grow.
 _WRITE_BLOCK_ROWS = 512
-_HISTORY_FIELDS = ("iter", "primal", "dual", "eps_pri", "eps_dual")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -124,11 +123,12 @@ def write_matrix_csv(path, arr, header=None):
 def write_history_csv(path, history):
     """Write a solver report's ``history`` array under a header row."""
     # Iteration numbers are integers, exact as floats and printed by %d.
+    names = HISTORY_DTYPE.names
     table = np.column_stack([np.asarray(history[name], dtype=float)
-                             for name in _HISTORY_FIELDS])
+                             for name in names])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_HISTORY_FIELDS) + "\n")
-        _write_rows(fh, table, "%d" + ("," + _FLOAT_FMT) * 4 + "\n")
+        fh.write(",".join(names) + "\n")
+        _write_rows(fh, table, "%d" + ("," + _FLOAT_FMT) * (len(names) - 1) + "\n")
 
 
 def _write_rows(fh, arr, row_fmt):

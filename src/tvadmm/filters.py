@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from . import linalg, prox
-from .admm import ChainProblem, SolverConfig, solve
+from .admm import ChainProblem, SolverConfig, solve, whole_count
 from .exceptions import NumericalFailureError, UnboundedProblemError
 
 
@@ -24,14 +24,13 @@ class Penalty(str, Enum):
     """Shape of the coupling penalty on consecutive differences.
 
     GROUP penalizes the l2 norm of each whole difference block (the
-    Frobenius norm for matrix-valued blocks; FROBENIUS is an alias) and
-    zeroes differences as a unit. ELEMENTWISE penalizes each component
-    separately, allowing individual components to stay constant.
+    Frobenius norm for matrix-valued blocks) and zeroes differences as a
+    unit. ELEMENTWISE penalizes each component separately, allowing
+    individual components to stay constant.
     """
 
     GROUP = "group"
     ELEMENTWISE = "elementwise"
-    FROBENIUS = "group"
 
 
 @dataclass
@@ -58,22 +57,17 @@ class VarianceFilterSpec:
     ``window`` averages that many trailing sample outer products into
     each block's data matrix (1 keeps the plain per-sample products;
     values above 1 help when the dimension exceeds 1, since a single
-    outer product is rank one). ``divergence_floor`` is the objective
-    value below which the solve is declared unbounded; it is checked at
-    the iterations where the solver evaluates the objective (see
-    :class:`~tvadmm.admm.ChainProblem`).
+    outer product is rank one); it is stored as an int.
     """
 
     lam: float
     penalty: Penalty = Penalty.GROUP
     window: int = 1
-    divergence_floor: float = -1e8
 
     def __post_init__(self):
         if not 0.0 <= self.lam < np.inf:
             raise ValueError("lam must be finite and nonnegative, got %g" % self.lam)
-        if int(self.window) < 1:
-            raise ValueError("window must be >= 1, got %s" % self.window)
+        self.window = whole_count("window", self.window)
         self.penalty = Penalty(self.penalty)
 
 
@@ -148,9 +142,10 @@ def mean_filter(data, spec, config=None):
             "sigma dimension %d does not match data dimension %d"
             % (sigma.shape[0], dim)
         )
-    cache = prox.gaussian_prox_cache(sigma, samples, _resolve_rho(config, spec.lam))
+    rho = _resolve_rho(config, spec.lam)
+    cache = prox.gaussian_prox_cache(sigma, samples, rho)
     problem = _build_mean_problem(samples, cache, spec.lam, spec.penalty)
-    report = solve(problem, config)
+    report = solve(problem, replace(config, rho=rho))
     if spec.penalty is Penalty.ELEMENTWISE or dim == 1:
         report = _polish_mean(report, problem, samples, sigma, cache.sigma_inv,
                               spec.lam)
@@ -170,11 +165,9 @@ def _polish_mean(report, problem, samples, sigma, sigma_inv, lam):
     gap, slack = _mean_certificate(candidate, samples, sigma_inv, lam)
     if not gap <= slack:
         return replace(report, certificate_gap=gap)
-    r_star = candidate[1:] - candidate[:-1]
-    trace = np.append(report.objective_trace, problem.objective(candidate, r_star))
-    trace_iters = np.append(report.objective_iters, report.iterations)
-    return replace(report, x_star=candidate, r_star=r_star,
-                   objective_trace=trace, objective_iters=trace_iters,
+    trace = np.append(report.objective_trace,
+                      problem.objective(candidate, np.diff(candidate, axis=0)))
+    return replace(report, x_star=candidate, objective_trace=trace,
                    polished=True, certificate_gap=gap)
 
 
@@ -270,7 +263,6 @@ def _build_mean_problem(samples, cache, lam, penalty):
         phi_prox_batch=phi,
         psi_prox_batch=_difference_prox(lam, penalty, dim),
         objective=objective,
-        default_rho=cache.rho,
     )
 
 
@@ -291,8 +283,7 @@ def _difference_prox(lam, penalty, dim):
 
 def _penalty(r_blocks, penalty):
     # Sum of the penalty over the difference rows (0 when there are none).
-    # A row's l2 norm is its absolute value when it has one component.
-    if penalty is Penalty.GROUP and r_blocks.shape[1] > 1:
+    if penalty is Penalty.GROUP:
         return float(np.sqrt((r_blocks * r_blocks).sum(axis=1)).sum())
     return float(np.abs(r_blocks).sum())
 
@@ -353,11 +344,10 @@ def variance_filter(data, spec, config=None):
         config = SolverConfig()
     samples, _ = _as_series(data)
     n_samples, dim = samples.shape
-    rho = _resolve_rho(config, spec.lam)
-    grams = _trailing_gram_average(samples, int(spec.window))
+    grams = _trailing_gram_average(samples, spec.window)
     _check_variance_bounded(grams, spec.lam)
-    problem = _build_variance_problem(grams, spec, rho)
-    report = solve(problem, config)
+    problem = _build_variance_problem(grams, spec)
+    report = solve(problem, replace(config, rho=_resolve_rho(config, spec.lam)))
 
     # tol=inf folds away whatever rounding asymmetry the solve left;
     # only non-finite entries are rejected.
@@ -385,30 +375,22 @@ def _first_not_positive_definite(mats):
             return i
 
 
-def _build_variance_problem(grams, spec, rho):
+def _build_variance_problem(grams, spec):
     n_samples, dim = grams.shape[0], grams.shape[1]
     flat_dim = dim * dim
-    scalar_gram = grams[:, 0, 0] if dim == 1 else None
 
     def phi(targets, rho_k):
         x = prox.prox_neg_logdet_gram(targets.reshape(n_samples, dim, dim), grams, rho_k)
         return x.reshape(n_samples, flat_dim)
 
     def objective(x_blocks, r_blocks):
-        if dim == 1:
-            x = x_blocks[:, 0]
-            if (x <= 0.0).any():
-                return np.inf
-            quad = float((x * scalar_gram).sum())
-            logdet = float(np.log(x).sum())
-        else:
-            mats = x_blocks.reshape(n_samples, dim, dim)
-            try:
-                factor = np.linalg.cholesky(linalg.symmetrize(mats, tol=np.inf))
-            except (ValueError, np.linalg.LinAlgError):
-                return np.inf
-            quad = float((mats * grams).sum())
-            logdet = linalg.spd_logdet(factor)
+        mats = x_blocks.reshape(n_samples, dim, dim)
+        try:
+            factor = np.linalg.cholesky(linalg.symmetrize(mats, tol=np.inf))
+        except (ValueError, np.linalg.LinAlgError):
+            return np.inf
+        quad = float((mats * grams).sum())
+        logdet = linalg.spd_logdet(factor)
         return quad - logdet + spec.lam * _penalty(r_blocks, spec.penalty)
 
     return ChainProblem(
@@ -417,8 +399,9 @@ def _build_variance_problem(grams, spec, rho):
         phi_prox_batch=phi,
         psi_prox_batch=_difference_prox(spec.lam, spec.penalty, flat_dim),
         objective=objective,
-        divergence_floor=spec.divergence_floor,
-        default_rho=rho,
+        # A backstop only: _check_variance_bounded is the exact test for
+        # an unbounded problem, run before the solve.
+        divergence_floor=-1e8,
     )
 
 

@@ -142,3 +142,25 @@ def partition_optimum(samples, sigma, lam, jumps, signs):
     kkt = np.block([[weight, fixed.T], [fixed, np.zeros((m, m))]])
     rhs = np.concatenate((weight @ y.ravel() - linear, np.zeros(m)))
     return np.linalg.solve(kkt, rhs)[:n * dim].reshape(n, dim)
+
+
+def variance_objective(precisions, grams, lam, penalty):
+    """The variance filter's objective written out directly:
+    sum_i [tr(X_i G_i) - log det X_i] + lam * sum_i pen(X_{i+1} - X_i),
+    with pen the Frobenius norm ("group") or the sum of absolute entries
+    ("elementwise"). inf when some X_i has an eigenvalue <= 0.
+    """
+    x = np.asarray(precisions, dtype=float)
+    g = np.asarray(grams, dtype=float)
+    total = 0.0
+    for xi, gi in zip(x, g):
+        evals = np.linalg.eigvalsh(xi)
+        if evals.min() <= 0.0:
+            return np.inf
+        total += np.trace(xi @ gi) - np.log(evals).sum()
+    diffs = x[1:] - x[:-1]
+    if penalty == "group":
+        coupling = sum(np.sqrt((d * d).sum()) for d in diffs)
+    else:
+        coupling = np.abs(diffs).sum()
+    return total + lam * coupling

@@ -52,6 +52,44 @@ class TestSolverConfig:
             admm.SolverConfig(**{field: value})
 
 
+def chain_problem(n_blocks=3, block_dim=1):
+    return admm.ChainProblem(n_blocks=n_blocks, block_dim=block_dim,
+                             phi_prox_batch=lambda t, rho: 0.5 * t + 1.0,
+                             psi_prox_batch=lambda t, rho: t)
+
+
+class TestWholeNumberSettings:
+    """Iteration caps, window lengths and problem sizes are whole numbers
+    >= 1, stored as int; anything else is a ValueError naming the field."""
+
+    SETTINGS = {
+        "max_iter": lambda value: admm.SolverConfig(max_iter=value).max_iter,
+        "window": lambda value: VarianceFilterSpec(lam=1.0, window=value).window,
+        "n_blocks": lambda value: chain_problem(n_blocks=value).n_blocks,
+        "block_dim": lambda value: chain_problem(block_dim=value).block_dim,
+    }
+
+    @pytest.mark.parametrize("field", sorted(SETTINGS))
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 2.5, 0, -3, "4"])
+    def test_rejects_naming_the_field(self, field, value):
+        with pytest.raises(ValueError,
+                           match="^%s must be a whole number >= 1" % field):
+            self.SETTINGS[field](value)
+
+    @pytest.mark.parametrize("field", sorted(SETTINGS))
+    @pytest.mark.parametrize("value", [1e5, np.int64(100000), 100000])
+    def test_whole_value_stored_as_int(self, field, value):
+        stored = self.SETTINGS[field](value)
+        assert type(stored) is int and stored == 100000
+
+    def test_float_sizes_solve(self):
+        problem = chain_problem(n_blocks=3.0, block_dim=2.0)
+        report = admm.solve(problem, admm.SolverConfig(
+            eps_abs=1e-300, eps_rel=1e-300, max_iter=4.0))
+        assert report.x_star.shape == (3, 2)
+        assert report.iterations == 4
+
+
 class TestResiduals:
     def test_zero_state(self):
         xr = np.array([[1.0], [1.0], [0.0]])
@@ -103,7 +141,7 @@ class TestSolve:
         assert np.abs(report.x_star - y).max() < 1e-9
 
         gram = np.array([[[2.0, 0.6], [0.6, 1.5]]])
-        problem = _build_variance_problem(gram, VarianceFilterSpec(lam=1.0), 0.7)
+        problem = _build_variance_problem(gram, VarianceFilterSpec(lam=1.0))
         report = admm.solve(problem, tight)
         assert report.converged
         assert report.state.s.shape == report.state.t.shape == (0, 4)
@@ -218,6 +256,27 @@ class TestSolve:
         )
         with pytest.raises(UnboundedProblemError):
             admm.solve(problem, admm.SolverConfig(rho=1.0, max_iter=2000))
+
+    def test_default_rho_is_one(self):
+        # A custom problem has no penalty of its own to offer: rho=None
+        # hands 1 to both prox maps.
+        seen = []
+
+        def phi(targets, rho):
+            seen.append(("phi", rho))
+            return 0.5 * targets + 1.0
+
+        def psi(targets, rho):
+            seen.append(("psi", rho))
+            return targets
+
+        problem = admm.ChainProblem(n_blocks=3, block_dim=1,
+                                    phi_prox_batch=phi, psi_prox_batch=psi)
+        admm.solve(problem, admm.SolverConfig(eps_abs=1e-300, eps_rel=1e-300,
+                                              max_iter=3))
+        assert seen == [("phi", 1.0), ("psi", 1.0)] * 3
+        admm.solve(problem)
+        assert {rho for _, rho in seen} == {1.0}
 
     def test_overflowing_residuals_do_not_stop(self):
         # The iterates grow past 1e154, where every residual norm and
@@ -342,7 +401,7 @@ class TestObjectiveSchedule:
             spec = VarianceFilterSpec(lam=2.0)
             _, report = filters.variance_filter(data, spec)
             problem = _build_variance_problem(
-                filters._trailing_gram_average(data[:, None], 1), spec, 2.0)
+                filters._trailing_gram_average(data[:, None], 1), spec)
         else:
             if case == "polished":
                 data = np.concatenate([rng.normal(0, 0.5, 15),

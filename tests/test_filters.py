@@ -3,7 +3,8 @@ import pytest
 
 from dataclasses import replace
 
-from oracles import bisect_lambda_max, objective_schedule, partition_optimum
+from oracles import (bisect_lambda_max, objective_schedule, partition_optimum,
+                     variance_objective)
 from tvadmm import SolverConfig, filters
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
@@ -14,6 +15,7 @@ from tvadmm.filters import (
     mean_filter,
     segments,
     variance_filter,
+    _build_variance_problem,
     _mean_certificate,
     _solve_on_partition,
     _trailing_gram_average,
@@ -24,6 +26,48 @@ TIGHT = SolverConfig(eps_abs=1e-10, eps_rel=1e-10, max_iter=200000)
 
 def tight(rho=None):
     return SolverConfig(rho=rho, eps_abs=1e-10, eps_rel=1e-10, max_iter=200000)
+
+
+def capture_rho(monkeypatch):
+    # The rho values the filters' prox maps receive, through a wrapped
+    # filters.solve.
+    seen = set()
+    solve = filters.solve
+
+    def recorded(prox_map):
+        def wrapped(targets, rho):
+            seen.add(rho)
+            return prox_map(targets, rho)
+        return wrapped
+
+    def solve_recording_rho(problem, *args, **kwargs):
+        problem = replace(problem, phi_prox_batch=recorded(problem.phi_prox_batch),
+                          psi_prox_batch=recorded(problem.psi_prox_batch))
+        return solve(problem, *args, **kwargs)
+
+    monkeypatch.setattr(filters, "solve", solve_recording_rho)
+    return seen
+
+
+class TestDefaultRho:
+    """rho=None hands the filter's weight to both prox maps, or 1 when the
+    weight is 0; an explicit rho is used as given."""
+
+    @pytest.mark.parametrize("lam, rho, expected", [
+        (2.5, None, 2.5), (0.0, None, 1.0), (2.5, 0.7, 0.7)])
+    def test_mean_filter(self, monkeypatch, lam, rho, expected):
+        seen = capture_rho(monkeypatch)
+        data = np.array([0.1, -0.3, 2.0, 2.2, 1.9])
+        mean_filter(data, MeanFilterSpec(lam=lam), SolverConfig(rho=rho, max_iter=3))
+        assert seen == {expected}
+
+    @pytest.mark.parametrize("lam, rho, expected", [
+        (2.5, None, 2.5), (0.0, None, 1.0), (2.5, 0.7, 0.7)])
+    def test_variance_filter(self, monkeypatch, lam, rho, expected):
+        seen = capture_rho(monkeypatch)
+        data = np.array([0.5, -1.0, 2.0, 1.5, -0.8])
+        variance_filter(data, VarianceFilterSpec(lam=lam), SolverConfig(rho=rho))
+        assert seen == {expected}
 
 
 class TestMeanFilter:
@@ -390,6 +434,34 @@ class TestVarianceFilter:
                                       tight(rho=1.0))
         assert report.converged
         assert np.abs(est.precision[:, 0, 0] - [1.0, 0.25]).max() < 1e-6
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("penalty", ["group", "elementwise"])
+    def test_objective_matches_direct_formula(self, dim, penalty):
+        rng = np.random.default_rng(40 + dim)
+        n_samples = 7
+        grams = _trailing_gram_average(rng.normal(size=(n_samples + 2, dim)), 3)[2:]
+        factors = rng.normal(size=(n_samples, dim, dim))
+        precisions = factors @ np.swapaxes(factors, 1, 2) + 0.5 * np.eye(dim)
+        objective = _build_variance_problem(
+            grams, VarianceFilterSpec(lam=1.7, penalty=penalty)).objective
+        x_blocks = precisions.reshape(n_samples, dim * dim)
+        value = objective(x_blocks, np.diff(x_blocks, axis=0))
+        expected = variance_objective(precisions, grams, 1.7, penalty)
+        assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("block", [
+        [[0.0]], [[-0.5]], [[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.0], [0.0, -1e-3]]])
+    def test_objective_infinite_off_positive_definite(self, block):
+        block = np.array(block)
+        dim = block.shape[0]
+        precisions = np.repeat(np.eye(dim)[None], 4, axis=0)
+        precisions[2] = block
+        grams = np.repeat(np.eye(dim)[None], 4, axis=0)
+        objective = _build_variance_problem(grams, VarianceFilterSpec(lam=1.0)).objective
+        x_blocks = precisions.reshape(4, dim * dim)
+        assert variance_objective(precisions, grams, 1.0, "group") == np.inf
+        assert objective(x_blocks, np.diff(x_blocks, axis=0)) == np.inf
 
     def test_window_rejects_bad_value(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
-"""The README's custom-problem example runs against the current API.
+"""The README's examples run against the current API.
 
-The example is taken from the README's ``python`` code block that builds
-a ``ChainProblem`` and executed as written, so a change of the engine's
-signatures that the README does not follow fails here.
+Each example is taken from one of the README's ``python`` code blocks
+(the library quickstart, and the custom problem that builds a
+``ChainProblem``) and executed as written, so a change of a signature
+that the README does not follow fails here.
 """
 
 from pathlib import Path
@@ -11,20 +12,32 @@ import re
 import numpy as np
 
 from tvadmm import MeanFilterSpec, Penalty, SolverConfig, mean_filter
+from tvadmm.cli import generate_piecewise_data
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def chain_problem_example():
+def run_example(marker):
+    # Executes the one README python block that contains marker.
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    matches = [block for block in blocks if "ChainProblem(" in block]
-    assert len(matches) == 1, "expected one ChainProblem example in README.md"
-    return matches[0]
+    matches = [block for block in blocks if marker in block]
+    assert len(matches) == 1, "expected one %s example in README.md" % marker
+    namespace = {}
+    exec(compile(matches[0], str(README), "exec"), namespace)
+    return namespace
+
+
+def test_library_quickstart_runs(tmp_path, monkeypatch, capsys):
+    data, _, _ = generate_piecewise_data(63)
+    np.savetxt(tmp_path / "series.csv", data, delimiter=",")
+    monkeypatch.chdir(tmp_path)
+    namespace = run_example("tvadmm.mean_filter(")
+    assert namespace["report"].converged
+    assert capsys.readouterr().out.startswith("True")
 
 
 def test_chain_problem_example_runs(capsys):
-    namespace = {}
-    exec(compile(chain_problem_example(), str(README), "exec"), namespace)
+    namespace = run_example("ChainProblem(")
     report = namespace["report"]
     assert report.converged
     assert capsys.readouterr().out.startswith("True")
