@@ -22,12 +22,12 @@ power-of-two schedule (see :class:`SolverReport`).
 
 from dataclasses import dataclass, field
 import math
-import numbers
 from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import NumericalFailureError, UnboundedProblemError
+from .exceptions import (NumericalFailureError, UnboundedProblemError,
+                         positive_finite, whole_count)
 from .projection import chain_factor, project
 
 HISTORY_DTYPE = np.dtype(
@@ -41,22 +41,13 @@ HISTORY_DTYPE = np.dtype(
 )
 
 
-def whole_count(name, value):
-    """``value`` as an int: a finite whole number >= 1 (so ``1e5`` is
-    accepted), else ``ValueError`` naming the setting ``name``."""
-    if not (isinstance(value, numbers.Real) and value >= 1
-            and float(value).is_integer()):
-        raise ValueError("%s must be a whole number >= 1, got %r" % (name, value))
-    return int(value)
-
-
 @dataclass
 class SolverConfig:
     """Penalty, relaxation, tolerances and the iteration cap.
 
     ``rho=None`` lets the caller pick the penalty: ``solve`` uses 1, and
     the filters use their regularization weight when it is positive,
-    else 1. ``max_iter`` is stored as an int.
+    else 1. ``max_iter`` is stored as an int, ``rho`` and the eps as floats.
     """
 
     rho: Optional[float] = None
@@ -66,16 +57,12 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.rho is not None and not 0.0 < self.rho < math.inf:
-            raise ValueError("rho must be positive and finite, got %g" % self.rho)
+        if self.rho is not None:
+            self.rho = positive_finite("rho", self.rho)
         if not 1.0 <= self.alpha < 2.0:
             raise ValueError("alpha must lie in [1, 2), got %g" % self.alpha)
-        if not 0.0 < self.eps_abs < math.inf:
-            raise ValueError("eps_abs must be positive and finite, got %g"
-                             % self.eps_abs)
-        if not 0.0 < self.eps_rel < math.inf:
-            raise ValueError("eps_rel must be positive and finite, got %g"
-                             % self.eps_rel)
+        self.eps_abs = positive_finite("eps_abs", self.eps_abs)
+        self.eps_rel = positive_finite("eps_rel", self.eps_rel)
         self.max_iter = whole_count("max_iter", self.max_iter)
 
 

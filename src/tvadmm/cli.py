@@ -24,7 +24,7 @@ import warnings
 import numpy as np
 
 from .admm import HISTORY_DTYPE, SolverConfig
-from .exceptions import NumericalFailureError, UnboundedProblemError
+from .exceptions import NumericalFailureError, UnboundedProblemError, whole_count
 from .filters import (
     MeanFilterSpec,
     Penalty,
@@ -45,6 +45,9 @@ _FLOAT_FMT = "%.17g"
 # the call, small enough that a block's floats and text stay a few
 # hundred kB and peak memory does not grow.
 _WRITE_BLOCK_ROWS = 512
+# generate_piecewise_data's level range and change-point draw limit.
+_LEVEL_RANGE = (-5.0, 5.0)
+_MAX_ATTEMPTS = 100000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -112,11 +115,10 @@ def _read_matrix_lines(path):
     return np.array(rows, dtype=float)
 
 
-def write_matrix_csv(path, arr, header=None):
+def write_matrix_csv(path, arr):
+    """Headerless CSV of ``arr``, as ``np.savetxt(fmt="%.17g", delimiter=",")``."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
         _write_rows(fh, arr, ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n")
 
 
@@ -154,48 +156,40 @@ def _write_rows(fh, arr, row_fmt):
                                         bounds, bounds[1:])))
 
 
-def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5,
-                            level_range=(-5.0, 5.0), max_attempts=100000):
+def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5):
     """Seeded piecewise-constant data with unit-variance Gaussian noise.
 
     All randomness comes from numpy's PCG64 generator keyed by the
     64-bit ``seed``, so output is reproducible across platforms. Change
     points are drawn uniformly without replacement and re-drawn until
-    every segment is at least n_samples/(4*n_segments) long.
+    every segment is at least n_samples/(4*n_segments) long. The counts
+    are whole numbers >= 1, with ``n_segments`` <= ``n_samples``.
 
     Returns ``(data, truth, change_points)`` where ``change_points``
     are 0-based indices of the first sample of each new segment.
     """
-    n_samples = int(n_samples)
-    dim = int(dim)
-    n_segments = int(n_segments)
-    if n_samples < 1 or dim < 1:
-        raise ValueError("n_samples and dim must be >= 1")
-    if n_segments < 1 or n_segments > n_samples:
-        raise ValueError(
-            "cannot place %d segments in %d samples" % (n_segments, n_samples)
-        )
+    n_samples = whole_count("n_samples", n_samples)
+    dim = whole_count("dim", dim)
+    n_segments = whole_count("n_segments", n_segments)
+    if n_segments > n_samples:
+        raise ValueError("cannot place %d segments in %d samples"
+                         % (n_segments, n_samples))
     rng = np.random.Generator(np.random.PCG64(int(seed)))
     min_len = n_samples / (4.0 * n_segments)
 
-    if n_segments == 1:
-        cuts = np.empty(0, dtype=int)
+    # One segment draws no cuts, and consumes no random numbers doing so.
+    for _ in range(_MAX_ATTEMPTS):
+        cuts = np.sort(rng.choice(np.arange(1, n_samples), size=n_segments - 1,
+                                  replace=False))
+        lengths = np.diff(np.concatenate(([0], cuts, [n_samples])))
+        if (lengths >= min_len).all():
+            break
     else:
-        for _ in range(max_attempts):
-            cuts = np.sort(
-                rng.choice(np.arange(1, n_samples), size=n_segments - 1,
-                           replace=False)
-            )
-            lengths = np.diff(np.concatenate(([0], cuts, [n_samples])))
-            if (lengths >= min_len).all():
-                break
-        else:
-            raise ValueError(
-                "could not place %d segments of length >= %.3g in %d samples"
-                % (n_segments, min_len, n_samples)
-            )
-    lengths = np.diff(np.concatenate(([0], cuts, [n_samples])))
-    levels = rng.uniform(level_range[0], level_range[1], size=(n_segments, dim))
+        raise ValueError(
+            "could not place %d segments of length >= %.3g in %d samples"
+            % (n_segments, min_len, n_samples)
+        )
+    levels = rng.uniform(*_LEVEL_RANGE, size=(n_segments, dim))
     truth = np.repeat(levels, lengths, axis=0)
     data = truth + rng.standard_normal((n_samples, dim))
     return data, truth, cuts

@@ -1,4 +1,30 @@
-"""Exception types used across the solver library."""
+"""Exception types, and numeric-setting checks every module can import."""
+
+import math
+import numbers
+
+
+def whole_count(name, value):
+    """``value`` as an int: a finite whole number >= 1 (so ``1e5`` is
+    accepted), else ``ValueError`` naming the setting ``name``."""
+    if not (isinstance(value, numbers.Real) and value >= 1
+            and float(value).is_integer()):
+        raise ValueError("%s must be a whole number >= 1, got %r" % (name, value))
+    return int(value)
+
+
+def positive_finite(name, value):
+    """``value`` as a float if 0 < value < inf, else a ``ValueError`` naming it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (name, value))
+    return float(value)
+
+
+def nonnegative_finite(name, value):
+    """``value`` as a float if 0 <= value < inf, else a ``ValueError`` naming it."""
+    if not 0.0 <= value < math.inf:
+        raise ValueError("%s must be finite and nonnegative, got %r" % (name, value))
+    return float(value)
 
 
 class NotPositiveDefiniteError(ValueError):

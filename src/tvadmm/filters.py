@@ -16,8 +16,9 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from . import linalg, prox
-from .admm import ChainProblem, SolverConfig, solve, whole_count
-from .exceptions import NumericalFailureError, UnboundedProblemError
+from .admm import ChainProblem, SolverConfig, solve
+from .exceptions import (NumericalFailureError, UnboundedProblemError,
+                         nonnegative_finite, whole_count)
 
 
 class Penalty(str, Enum):
@@ -45,8 +46,7 @@ class MeanFilterSpec:
     sigma: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and nonnegative, got %g" % self.lam)
+        self.lam = nonnegative_finite("lam", self.lam)
         self.penalty = Penalty(self.penalty)
 
 
@@ -65,8 +65,7 @@ class VarianceFilterSpec:
     window: int = 1
 
     def __post_init__(self):
-        if not 0.0 <= self.lam < np.inf:
-            raise ValueError("lam must be finite and nonnegative, got %g" % self.lam)
+        self.lam = nonnegative_finite("lam", self.lam)
         self.window = whole_count("window", self.window)
         self.penalty = Penalty(self.penalty)
 
@@ -108,16 +107,16 @@ def _resolve_rho(config, lam):
 def mean_filter(data, spec, config=None):
     """Estimate a piecewise-constant mean sequence.
 
-    After the iteration stops, the estimate is polished: the segment
-    partition and jump signs read off the iterate (per component, with
-    the :func:`segments` default tolerance) define an equality-constrained
-    quadratic problem. Its solution, exact on that partition, comes from
-    one banded LAPACK solve for the optimality multipliers, whatever the
-    noise covariance. The polished estimate replaces the iterate only
-    when it satisfies the optimality conditions (see ``report.polished``
-    and ``report.certificate_gap``, which is inf when the solve fails);
-    otherwise the iterate is returned unchanged. The group penalty with
-    n > 1 is not polished.
+    After the iteration stops, the estimate is polished: a segment
+    partition and jump signs define an equality-constrained quadratic
+    problem, solved exactly by one banded LAPACK solve whatever the noise
+    covariance. They are read off the iterate per component with the
+    :func:`segments` default tolerance or, if that candidate fails, off
+    the exact zeros of the difference prox at the final iterate. The
+    first candidate that meets the optimality conditions replaces the
+    iterate (see ``report.polished``); otherwise the iterate is returned
+    with the first reading's ``report.certificate_gap`` (inf when its
+    solve fails). The group penalty with n > 1 is not polished.
 
     Parameters
     ----------
@@ -136,62 +135,63 @@ def mean_filter(data, spec, config=None):
         config = SolverConfig()
     samples, was_1d = _as_series(data)
     n_samples, dim = samples.shape
-    sigma = np.eye(dim) if spec.sigma is None else linalg.symmetrize(spec.sigma)
-    if sigma.shape[0] != dim:
-        raise ValueError(
-            "sigma dimension %d does not match data dimension %d"
-            % (sigma.shape[0], dim)
-        )
+    sigma = prox.noise_covariance(spec.sigma, dim)
     rho = _resolve_rho(config, spec.lam)
     cache = prox.gaussian_prox_cache(sigma, samples, rho)
     problem = _build_mean_problem(samples, cache, spec.lam, spec.penalty)
     report = solve(problem, replace(config, rho=rho))
     if spec.penalty is Penalty.ELEMENTWISE or dim == 1:
-        report = _polish_mean(report, problem, samples, sigma, cache.sigma_inv,
-                              spec.lam)
+        report = _polish_mean(report, problem, samples, sigma, cache, spec.lam)
     estimates = report.x_star[:, 0] if was_1d else report.x_star
     return estimates, report
 
 
-def _polish_mean(report, problem, samples, sigma, sigma_inv, lam):
+def _polish_mean(report, problem, samples, sigma, cache, lam):
     # Elementwise penalty (any penalty when n = 1): optimal x satisfy
     # P_k = sum_{j<=k} sigma^{-1} (x_j - y_j) in lam * sign(x_{k+1} - x_k)
     # componentwise (anything in [-lam, lam] where the jump is zero), with
     # P_N = 0. Fixing the partition and the jump signs fixes P at the
-    # jumps, and the other multipliers solve one linear system.
-    candidate = _solve_on_partition(report.x_star, samples, sigma, lam)
-    if candidate is None:
-        return replace(report, certificate_gap=np.inf)
-    gap, slack = _mean_certificate(candidate, samples, sigma_inv, lam)
-    if not gap <= slack:
-        return replace(report, certificate_gap=gap)
-    trace = np.append(report.objective_trace,
-                      problem.objective(candidate, np.diff(candidate, axis=0)))
-    return replace(report, x_star=candidate, objective_trace=trace,
-                   polished=True, certificate_gap=gap)
+    # jumps, and the other multipliers solve one linear system. The jumps
+    # are differences above the segments() default tolerance, else the
+    # prox's nonzeros, which alone can keep a spurious jump.
+    x, state = report.x_star, report.state
+    diff = np.diff(x, axis=0)
+    readings = (lambda: np.where(np.abs(diff) > _default_segment_tol(x, axis=0),
+                                 np.sign(diff), 0.0),
+                lambda: np.sign(problem.psi_prox_batch(state.s - state.t, cache.rho)))
+    gaps = []
+    for read in readings:
+        candidate = _solve_on_partition(read(), samples, sigma, lam)
+        gap, slack = ((np.inf, 0.0) if candidate is None else
+                      _mean_certificate(candidate, samples, cache.sigma_inv, lam))
+        if gap <= slack:
+            trace = np.append(report.objective_trace, problem.objective(
+                candidate, np.diff(candidate, axis=0)))
+            return replace(report, x_star=candidate, objective_trace=trace,
+                           polished=True, certificate_gap=gap)
+        gaps.append(gap)
+    return replace(report, certificate_gap=gaps[0])
 
 
-def _solve_on_partition(x, samples, sigma, lam):
-    # The candidate on each component's segments of x. Its multipliers P
-    # (one row per difference) give x = y + (P_j - P_{j-1}) sigma, with
-    # P_0 = P_N = 0. P is fixed to lam * sign(r) at the jumps of x (A);
-    # the free ones (I) make r vanish inside the segments:
+def _solve_on_partition(signs, samples, sigma, lam):
+    # The candidate whose differences are zero wherever signs, the
+    # (N - 1, n) jump signs, is 0. Its multipliers P (one row per
+    # difference) give x = y + (P_j - P_{j-1}) sigma, with P_0 = P_N = 0.
+    # P is fixed to lam * signs at the jumps (A); the free ones (I) make
+    # r vanish inside the segments:
     #     ((D D^T) (x) sigma)_II P_I = (Dy)_I - (((D D^T) (x) sigma) P_A)_I.
     # In (k, c) row-major order this is banded SPD with half-bandwidth
     # 2n - 1; rows and columns of A become identity rows holding P_A.
     # Returns None when LAPACK finds the system not positive definite.
-    n_samples, dim = x.shape
-    jumps = np.empty((n_samples - 1, dim), dtype=bool)
-    for c in range(dim):
-        col = x[:, c:c + 1]
-        jumps[:, c] = _jumps(col, _default_segment_tol(col))
+    n_samples, dim = samples.shape
+    jumps = signs != 0.0
     edge = np.zeros((1, dim))
 
     def estimate(multipliers):
         steps = np.diff(multipliers, axis=0, prepend=edge, append=edge)
         return samples + steps @ sigma
 
-    fixed = np.where(jumps, lam * np.sign(np.diff(x, axis=0)), 0.0)
+    fixed = lam * signs
     # The differences of the estimate from P_A alone are Dy - K P_A.
     rhs = np.where(jumps, fixed, np.diff(estimate(fixed), axis=0)).ravel()
 
@@ -419,12 +419,7 @@ def lambda_max_mean(data, sigma=None, penalty=Penalty.GROUP):
     n_samples, dim = samples.shape
     if n_samples < 2:
         raise ValueError("lambda_max needs at least 2 samples")
-    sigma = np.eye(dim) if sigma is None else linalg.symmetrize(sigma)
-    if sigma.shape[0] != dim:
-        raise ValueError(
-            "sigma dimension %d does not match data dimension %d"
-            % (sigma.shape[0], dim)
-        )
+    sigma = prox.noise_covariance(sigma, dim)
     sigma_inv = linalg.spd_inverse(sigma)
     centered = samples - samples.mean(axis=0)
     partial = np.cumsum(centered, axis=0)[:-1] @ sigma_inv
@@ -454,8 +449,8 @@ def segments(estimates, tol=None):
     if not tol > 0.0:
         raise ValueError("tol must be positive, got %g" % tol)
 
-    bounds = np.concatenate(([0], np.flatnonzero(_jumps(est, tol)) + 1,
-                             [n_samples]))
+    jumps = np.abs(est[1:] - est[:-1]).max(axis=1) > tol
+    bounds = np.concatenate(([0], np.flatnonzero(jumps) + 1, [n_samples]))
     out = []
     for start, end in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         level = est[start:end].mean(axis=0)
@@ -466,11 +461,6 @@ def segments(estimates, tol=None):
     return out
 
 
-def _default_segment_tol(est):
-    spread = float(est.max() - est.min())
-    return 1e-3 * spread + 1e-9 * (1.0 + float(np.abs(est).max()))
-
-
-def _jumps(est, tol):
-    # True where consecutive rows differ by more than tol in max-abs norm.
-    return np.abs(est[1:] - est[:-1]).max(axis=1) > tol
+def _default_segment_tol(est, axis=None):
+    spread = est.max(axis=axis) - est.min(axis=axis)
+    return 1e-3 * spread + 1e-9 * (1.0 + np.abs(est).max(axis=axis))

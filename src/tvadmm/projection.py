@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpttrf, dpttrs
 
+from .exceptions import whole_count
+
 
 @dataclass(frozen=True)
 class ChainCholesky:
@@ -43,14 +45,13 @@ class ChainCholesky:
 
 
 def chain_factor(n_blocks):
-    """Factor I + D^T D for ``n_blocks`` >= 1 with one ``dpttrf`` call.
+    """Factor I + D^T D for a whole number ``n_blocks`` >= 1 with one
+    ``dpttrf`` call.
 
     A single block has no differences, so its factor is the 1x1
     identity.
     """
-    n_blocks = int(n_blocks)
-    if n_blocks < 1:
-        raise ValueError("chain_factor requires at least 1 block; got %d" % n_blocks)
+    n_blocks = whole_count("n_blocks", n_blocks)
     # Each diagonal entry is 1 plus the block's number of neighbours.
     band = np.zeros((2, n_blocks))
     band[0] = 3.0

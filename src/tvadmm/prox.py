@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .exceptions import NumericalFailureError
+from .exceptions import NumericalFailureError, positive_finite
 
 
 @dataclass(frozen=True)
@@ -35,29 +35,32 @@ class GaussianProxCache:
     offset: np.ndarray
 
 
+def noise_covariance(sigma, dim):
+    """The identity for ``sigma=None``, else ``sigma`` symmetrized after
+    checking that it is finite, symmetric and ``dim`` x ``dim``."""
+    sigma = np.eye(dim) if sigma is None else linalg.symmetrize(sigma)
+    if sigma.shape[0] != dim:
+        raise ValueError("sigma dimension %d does not match data dimension %d"
+                         % (sigma.shape[0], dim))
+    return sigma
+
+
 def gaussian_prox_cache(sigma, samples, rho):
     """Build a :class:`GaussianProxCache` for the given problem data.
 
     Parameters
     ----------
-    sigma : (n, n) array_like
-        Noise covariance; must be symmetric positive definite.
+    sigma : (n, n) array_like or None
+        SPD noise covariance, checked by :func:`noise_covariance`.
     samples : (N, n) array_like
         Observed samples, one per block.
     rho : float
-        Penalty parameter, > 0.
+        Penalty parameter, positive and finite.
     """
-    rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive, got %g" % rho)
+    rho = positive_finite("rho", rho)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    sigma = linalg.symmetrize(sigma)
-    n = sigma.shape[0]
-    if samples.shape[1] != n:
-        raise ValueError(
-            "sample dimension %d does not match sigma dimension %d"
-            % (samples.shape[1], n)
-        )
+    n = samples.shape[1]
+    sigma = noise_covariance(sigma, n)
     sigma_factor = linalg.spd_factor(sigma)
     sigma_inv = linalg.spd_solve(sigma_factor, np.eye(n))
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
@@ -102,7 +105,7 @@ def soft_threshold_group(a, kappa):
     the prox of kappa * ||.||_2; applied to a flattened matrix it is
     Frobenius-norm thresholding.
     """
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative, got %g" % kappa)
     a = np.asarray(a, dtype=float)
     norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
@@ -127,7 +130,7 @@ def soft_threshold_scalar(a, kappa):
     bits, where the other nesting order gives -0.0 for a = -0.0 at
     kappa = 0.
     """
-    if kappa < 0.0:
+    if not kappa >= 0.0:
         raise ValueError("kappa must be nonnegative, got %g" % kappa)
     a = np.asarray(a, dtype=float)
     clipped = np.minimum(a, kappa, out=np.empty_like(a))
@@ -156,7 +159,7 @@ def prox_neg_logdet(v, y, rho):
     y : (n,) array_like
         Data vector whose outer product enters the trace term.
     rho : float
-        Penalty parameter, > 0.
+        Penalty parameter, positive and finite.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -173,9 +176,7 @@ def prox_neg_logdet_gram(v, gram, rho):
     is then handled independently, with one LAPACK eigendecomposition
     call over the whole stack, and the result is stacked the same way.
     """
-    rho = float(rho)
-    if rho <= 0.0:
-        raise ValueError("rho must be positive, got %g" % rho)
+    rho = positive_finite("rho", rho)
     v = linalg.symmetrize(v)
     gram = linalg.symmetrize(gram)
     if gram.shape != v.shape:

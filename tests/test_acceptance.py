@@ -389,16 +389,24 @@ def test_polished_protocol_matches_dual_oracle(protocol_instance):
 
 
 def test_rejected_certificate_keeps_iterate(protocol_instance, monkeypatch):
-    # A tenfold finer partition threshold splits solver ripple into
-    # spurious segments; the certificate must refuse that candidate.
-    monkeypatch.setattr(
-        filters, "_default_segment_tol",
-        lambda est: 1e-4 * float(est.max() - est.min()),
-    )
+    # One spurious jump added to every partition the polish reads (the
+    # threshold reading and the prox's zeros alike); the certificate must
+    # refuse both candidates.
+    solve_on_partition = filters._solve_on_partition
+    readings = []
+
+    def with_spurious_jump(signs, samples, sigma, lam):
+        signs = signs.copy()
+        signs.flat[np.flatnonzero(signs == 0.0)[0]] = 1.0
+        readings.append(signs)
+        return solve_on_partition(signs, samples, sigma, lam)
+
+    monkeypatch.setattr(filters, "_solve_on_partition", with_spurious_jump)
     estimates, report = mean_filter(protocol_instance["data"],
                                     protocol_instance["spec"],
                                     protocol_instance["config"])
     raw = _unpolished_protocol_solve(protocol_instance)
+    assert len(readings) == 2
     assert not report.polished
     assert report.certificate_gap > 1e-6
     assert np.array_equal(report.x_star, raw.x_star)

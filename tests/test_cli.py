@@ -136,10 +136,6 @@ class TestCsvWriters:
         assert (tmp_path / "out.csv").read_bytes() == savetxt_reference(
             tmp_path / "ref.csv", arr)
 
-    def test_header_row(self, tmp_path):
-        cli.write_matrix_csv(str(tmp_path / "out.csv"), [[1.5, -0.0]], header="a,b")
-        assert (tmp_path / "out.csv").read_bytes() == b"a,b\n1.5,-0\n"
-
     @pytest.mark.parametrize("rows", [0, 1, cli._WRITE_BLOCK_ROWS + 3])
     def test_history_bytes_match_record_format(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
@@ -185,12 +181,6 @@ class TestCsvWriters:
         arr = np.repeat(np.array(rows), [BLOCK + 1, 3, BLOCK], axis=0)
         arr = np.concatenate([arr, arr[::-1]])
         assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
-
-    def test_header_row_over_runs(self, tmp_path):
-        arr = np.repeat([[1.5, -0.0], [0.25, 3.0]], [BLOCK + 2, 4], axis=0)
-        cli.write_matrix_csv(str(tmp_path / "out.csv"), arr, header="a,b")
-        assert (tmp_path / "out.csv").read_bytes() == (
-            b"a,b\n" + savetxt_reference(tmp_path / "ref.csv", arr))
 
     def test_history_with_repeated_rows(self, tmp_path):
         history = np.zeros(3 * BLOCK, dtype=HISTORY_DTYPE)
@@ -511,6 +501,13 @@ class TestSynthCommand:
         assert len(lines) >= 2
         last = [float(tok) for tok in lines[-1].split(",")]
         assert last[1] <= last[3] and last[2] <= last[4]
+
+
+@pytest.mark.parametrize("name", ["n_samples", "dim", "n_segments"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0, -1, 2.5])
+def test_generator_counts_are_whole_naming_them(name, value):
+    with pytest.raises(ValueError, match="^%s must be a whole number >= 1" % name):
+        cli.generate_piecewise_data(1, **{name: value})
 
 
 def test_no_subcommand_is_input_error(capsys):

@@ -3,8 +3,8 @@ import pytest
 
 from dataclasses import replace
 
-from oracles import (bisect_lambda_max, objective_schedule, partition_optimum,
-                     variance_objective)
+from oracles import (bisect_lambda_max, fused_lasso_dual, objective_schedule,
+                     partition_optimum, variance_objective)
 from tvadmm import SolverConfig, filters
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
@@ -199,6 +199,39 @@ class TestPolish:
         assert np.abs(partial[:-1][active]
                       - lam * np.sign(jumps[active])).max() <= 1e-9
 
+    def test_prox_zeros_certify_a_jump_the_threshold_misses(self):
+        # A seeded diagonal-sigma instance at default tolerances: one
+        # genuine jump of about 0.014 in the optimum sits below the
+        # threshold reading of the iterate, so only the difference prox's
+        # exact zeros give the partition that certifies.
+        rng = np.random.default_rng(59)
+        n_samples, dim = int(rng.integers(20, 121)), int(rng.integers(1, 4))
+        n_segments = int(rng.integers(2, 6))
+        cuts = np.sort(rng.choice(np.arange(1, n_samples), size=n_segments - 1,
+                                  replace=False))
+        lengths = np.diff(np.concatenate(([0], cuts, [n_samples])))
+        truth = np.repeat(rng.uniform(-3, 3, size=(n_segments, dim)), lengths,
+                          axis=0)
+        variances = rng.uniform(0.5, 2.0, size=dim)
+        data = truth + rng.standard_normal((n_samples, dim)) * np.sqrt(variances)
+        sigma = np.diag(variances)
+        lam = rng.uniform(0.05, 0.3) * lambda_max_mean(data, sigma,
+                                                       Penalty.ELEMENTWISE)
+        estimates, report = mean_filter(
+            data, MeanFilterSpec(lam=lam, penalty=Penalty.ELEMENTWISE, sigma=sigma),
+            SolverConfig(max_iter=1500))
+        assert report.converged and report.polished
+        iterate = report.state.z
+        tol = filters._default_segment_tol(iterate, axis=0)
+        unread = ((np.diff(estimates, axis=0) != 0.0)
+                  & (np.abs(np.diff(iterate, axis=0)) <= tol))
+        assert unread.any()
+        # With a diagonal sigma each component is scalar TV denoising with
+        # weight variance * lam.
+        for c in range(dim):
+            oracle = fused_lasso_dual(data[:, c], variances[c] * lam)
+            assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
+
     def test_scalar_group_penalty_polished(self):
         rng = np.random.default_rng(12)
         data = np.concatenate([rng.normal(0, 0.5, 15), rng.normal(3, 0.5, 15)])
@@ -249,12 +282,9 @@ class TestPolish:
             "random": rng.uniform(size=(n_samples - 1, dim)) < 0.2,
         }[partition]
         signs = np.where(rng.uniform(size=jumps.shape) < 0.5, -1.0, 1.0)
-        # Unit steps with those signs: the polish reads exactly this
-        # partition off the iterate.
-        iterate = np.concatenate((np.zeros((1, dim)),
-                                  np.cumsum(np.where(jumps, signs, 0.0), axis=0)))
         lam = 0.8
-        candidate = _solve_on_partition(iterate, samples, sigma, lam)
+        candidate = _solve_on_partition(np.where(jumps, signs, 0.0), samples,
+                                        sigma, lam)
         expected = partition_optimum(samples, sigma, lam, jumps, signs)
         assert np.abs(candidate - expected).max() <= 1e-10
         assert (np.diff(candidate, axis=0)[~jumps] == 0.0).all()

@@ -54,6 +54,11 @@ class TestChainFactor:
         with pytest.raises(ValueError):
             chain_factor(0)
 
+    @pytest.mark.parametrize("n_blocks", [np.nan, np.inf, 0, -1, 2.5])
+    def test_rejects_non_whole_counts_naming_them(self, n_blocks):
+        with pytest.raises(ValueError, match="^n_blocks must be a whole number >= 1"):
+            chain_factor(n_blocks)
+
     def test_single_block_factor_is_identity(self):
         assert np.array_equal(chain_factor(1).band, [[1.0], [0.0]])
 

@@ -12,6 +12,29 @@ def random_spd(rng, n, shift=1.0):
     return m.T @ m + shift * np.eye(n)
 
 
+RHO_MAPS = {
+    "gaussian_prox_cache": lambda rho: prox.gaussian_prox_cache(
+        np.eye(2), np.zeros((1, 2)), rho),
+    "prox_neg_logdet_gram": lambda rho: prox.prox_neg_logdet_gram(
+        np.eye(2), np.eye(2), rho),
+}
+THRESHOLDS = {"group": prox.soft_threshold_group,
+              "scalar": prox.soft_threshold_scalar}
+
+
+@pytest.mark.parametrize("entry", sorted(RHO_MAPS))
+@pytest.mark.parametrize("rho", [np.nan, np.inf, 0.0, -1.0])
+def test_rho_positive_and_finite_naming_it(entry, rho):
+    with pytest.raises(ValueError, match="^rho must be positive and finite"):
+        RHO_MAPS[entry](rho)
+
+
+@pytest.mark.parametrize("kind", sorted(THRESHOLDS))
+def test_nan_kappa_rejected_naming_it(kind):
+    with pytest.raises(ValueError, match="^kappa must be nonnegative"):
+        THRESHOLDS[kind](np.ones((3, 2)), np.nan)
+
+
 class TestProxGaussian:
     def test_scalar_example(self):
         cache = prox.gaussian_prox_cache(np.array([[1.0]]), np.array([[2.0]]), 1.0)
@@ -121,8 +144,9 @@ class TestSoftThresholdGroup:
 
 def soft_threshold_group_reference(a, kappa):
     # The earlier np.where formula, kept to pin the current one's bits.
+    # kappa / norms may overflow in rows that np.where then discards.
     norms = np.sqrt((a * a).sum(axis=-1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         factor = np.where(norms > kappa, 1.0 - kappa / norms, 0.0)
     return factor * a
 
