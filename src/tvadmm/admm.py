@@ -26,8 +26,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import (NumericalFailureError, UnboundedProblemError,
-                         positive_finite, whole_count)
+from .exceptions import NumericalFailureError, positive_finite, whole_count
 from .projection import chain_factor, project
 
 HISTORY_DTYPE = np.dtype(
@@ -79,17 +78,10 @@ class ChainProblem:
     called with the ``rho`` of the solve's config (1 when it is None).
     ``n_blocks`` and ``block_dim`` are stored as ints.
 
-    Optional pieces: an objective callback ``objective(x_blocks,
-    r_blocks)`` used for the report's objective trace, and
-    ``divergence_floor`` below which the objective trace triggers an
-    unbounded-problem error. The engine calls ``objective`` on the
+    Optional: an objective callback ``objective(x_blocks, r_blocks)``
+    used for the report's objective trace. The engine calls it on the
     consensus iterate (z, s) at iterations 1, 2, 4, 8, ... and at the
-    final iteration only, and checks the floor at each of those calls,
-    so a fall below the floor is caught at the next scheduled
-    iteration. After iteration k that can be up to k iterations later:
-    an iterate that grows fast enough to overflow in that gap ends the
-    solve with ``NumericalFailureError`` (a non-finite prox result)
-    instead of ``UnboundedProblemError``.
+    final iteration only.
     """
 
     n_blocks: int
@@ -97,7 +89,6 @@ class ChainProblem:
     phi_prox_batch: Callable[[np.ndarray, float], np.ndarray]
     psi_prox_batch: Callable[[np.ndarray, float], np.ndarray]
     objective: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
-    divergence_floor: Optional[float] = None
 
     def __post_init__(self):
         self.n_blocks = whole_count("n_blocks", self.n_blocks)
@@ -258,7 +249,7 @@ def solve(problem, config=None, initial=None, callback=None):
     x, r = xr[:n], xr[n:]
 
     phi, psi = problem.phi_prox_batch, problem.psi_prox_batch
-    objective, floor = problem.objective, problem.divergence_floor
+    objective = problem.objective
     history = []
     obj_trace = []
     converged = False
@@ -301,13 +292,7 @@ def solve(problem, config=None, initial=None, callback=None):
         # k & (k - 1) is 0 exactly at the powers of two.
         if objective is not None and (k & (k - 1) == 0 or converged
                                       or k == max_iter):
-            value = float(objective(zs[:n], zs[n:]))
-            obj_trace.append(value)
-            if floor is not None and value < floor:
-                raise UnboundedProblemError(
-                    "objective fell below %g at iteration %d; the problem "
-                    "appears unbounded" % (floor, k)
-                )
+            obj_trace.append(float(objective(zs[:n], zs[n:])))
         if callback is not None:
             callback(k, {"x": x, "r": r, "z": zs[:n], "s": zs[n:],
                          "u": ut[:n], "t": ut[n:]})

@@ -159,22 +159,24 @@ def _write_rows(fh, arr, row_fmt):
 def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5):
     """Seeded piecewise-constant data with unit-variance Gaussian noise.
 
-    All randomness comes from numpy's PCG64 generator keyed by the
-    64-bit ``seed``, so output is reproducible across platforms. Change
-    points are drawn uniformly without replacement and re-drawn until
-    every segment is at least n_samples/(4*n_segments) long. The counts
-    are whole numbers >= 1, with ``n_segments`` <= ``n_samples``.
+    All randomness comes from numpy's PCG64 generator keyed by
+    ``seed``, a whole number >= 0, so output is reproducible across
+    platforms. Change points are drawn uniformly without replacement and
+    re-drawn until every segment is at least n_samples/(4*n_segments)
+    long. The counts are whole numbers >= 1, with ``n_segments`` <=
+    ``n_samples``.
 
     Returns ``(data, truth, change_points)`` where ``change_points``
     are 0-based indices of the first sample of each new segment.
     """
+    seed = whole_count("seed", seed, lowest=0)
     n_samples = whole_count("n_samples", n_samples)
     dim = whole_count("dim", dim)
     n_segments = whole_count("n_segments", n_segments)
     if n_segments > n_samples:
         raise ValueError("cannot place %d segments in %d samples"
                          % (n_segments, n_samples))
-    rng = np.random.Generator(np.random.PCG64(int(seed)))
+    rng = np.random.Generator(np.random.PCG64(seed))
     min_len = n_samples / (4.0 * n_segments)
 
     # One segment draws no cuts, and consumes no random numbers doing so.
@@ -380,9 +382,6 @@ def main(argv=None):
     except NumericalFailureError as exc:
         print("error: numerical failure: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    except UnboundedProblemError as exc:
-        print("error: unbounded problem: %s" % exc, file=sys.stderr)
-        return EXIT_UNBOUNDED
 
 
 if __name__ == "__main__":

@@ -4,12 +4,14 @@ import math
 import numbers
 
 
-def whole_count(name, value):
-    """``value`` as an int: a finite whole number >= 1 (so ``1e5`` is
-    accepted), else ``ValueError`` naming the setting ``name``."""
-    if not (isinstance(value, numbers.Real) and value >= 1
-            and float(value).is_integer()):
-        raise ValueError("%s must be a whole number >= 1, got %r" % (name, value))
+def whole_count(name, value, lowest=1):
+    """``value`` as an int: a finite whole number >= ``lowest`` (so ``1e5``
+    is accepted), else ``ValueError`` naming the setting ``name``."""
+    # An int skips float(), which overflows above 1e308 (a valid seed).
+    if not (isinstance(value, numbers.Real) and value >= lowest
+            and (isinstance(value, numbers.Integral) or float(value).is_integer())):
+        raise ValueError("%s must be a whole number >= %d, got %r"
+                         % (name, lowest, value))
     return int(value)
 
 

@@ -20,6 +20,9 @@ from .admm import ChainProblem, SolverConfig, solve
 from .exceptions import (NumericalFailureError, UnboundedProblemError,
                          nonnegative_finite, whole_count)
 
+# Sign patterns the mean polish tries before it keeps the iterate.
+_MAX_PATTERNS = 50
+
 
 class Penalty(str, Enum):
     """Shape of the coupling penalty on consecutive differences.
@@ -110,13 +113,14 @@ def mean_filter(data, spec, config=None):
     After the iteration stops, the estimate is polished: a segment
     partition and jump signs define an equality-constrained quadratic
     problem, solved exactly by one banded LAPACK solve whatever the noise
-    covariance. They are read off the iterate per component with the
-    :func:`segments` default tolerance or, if that candidate fails, off
-    the exact zeros of the difference prox at the final iterate. The
-    first candidate that meets the optimality conditions replaces the
-    iterate (see ``report.polished``); otherwise the iterate is returned
-    with the first reading's ``report.certificate_gap`` (inf when its
-    solve fails). The group penalty with n > 1 is not polished.
+    covariance. The first partition is read off the exact zeros of the
+    difference prox at the final iterate; each candidate that fails the
+    optimality conditions picks the next one from its own violations (a
+    primal-dual active-set step), until a partition repeats or 50 have
+    been tried. A certified candidate replaces the iterate (see
+    ``report.polished``); otherwise the iterate is returned with the
+    first candidate's ``report.certificate_gap`` (inf when its solve
+    fails). The group penalty with n > 1 is not polished.
 
     Parameters
     ----------
@@ -151,25 +155,37 @@ def _polish_mean(report, problem, samples, sigma, cache, lam):
     # P_k = sum_{j<=k} sigma^{-1} (x_j - y_j) in lam * sign(x_{k+1} - x_k)
     # componentwise (anything in [-lam, lam] where the jump is zero), with
     # P_N = 0. Fixing the partition and the jump signs fixes P at the
-    # jumps, and the other multipliers solve one linear system. The jumps
-    # are differences above the segments() default tolerance, else the
-    # prox's nonzeros, which alone can keep a spurious jump.
-    x, state = report.x_star, report.state
-    diff = np.diff(x, axis=0)
-    readings = (lambda: np.where(np.abs(diff) > _default_segment_tol(x, axis=0),
-                                 np.sign(diff), 0.0),
-                lambda: np.sign(problem.psi_prox_batch(state.s - state.t, cache.rho)))
+    # jumps, and the other multipliers solve one linear system. The first
+    # signs are the difference prox's at the final iterate; each rejected
+    # candidate picks the next ones by a primal-dual active-set step: a
+    # jump whose height is zero or has the wrong sign is dropped, and a
+    # free multiplier outside [-lam, lam] becomes a jump of its sign.
+    # The candidate's free differences are exactly 0 and its jump
+    # multipliers exactly +-lam, so the step needs no scaling constant.
+    state = report.state
+    signs = np.sign(problem.psi_prox_batch(state.s - state.t, cache.rho))
+    tried = set()
     gaps = []
-    for read in readings:
-        candidate = _solve_on_partition(read(), samples, sigma, lam)
-        gap, slack = ((np.inf, 0.0) if candidate is None else
-                      _mean_certificate(candidate, samples, cache.sigma_inv, lam))
+    while len(tried) < _MAX_PATTERNS:
+        pattern = signs.tobytes()
+        if pattern in tried:
+            break
+        tried.add(pattern)
+        candidate = _solve_on_partition(signs, samples, sigma, lam)
+        if candidate is None:
+            gaps.append(np.inf)
+            break
+        gap, slack, multipliers = _mean_certificate(candidate, samples,
+                                                    cache.sigma_inv, lam)
         if gap <= slack:
             trace = np.append(report.objective_trace, problem.objective(
                 candidate, np.diff(candidate, axis=0)))
             return replace(report, x_star=candidate, objective_trace=trace,
                            polished=True, certificate_gap=gap)
         gaps.append(gap)
+        heights = signs * np.diff(candidate, axis=0)
+        signs = np.where(heights > 0.0, signs, np.where(
+            (signs == 0.0) & (np.abs(multipliers) > lam), np.sign(multipliers), 0.0))
     return replace(report, certificate_gap=gaps[0])
 
 
@@ -223,9 +239,10 @@ def _solve_on_partition(signs, samples, sigma, lam):
 
 
 def _mean_certificate(x, samples, sigma_inv, lam):
-    # Largest violation of the elementwise optimality conditions at x, and
-    # the slack it is held to: a small multiple of the textbook rounding
-    # bound N * eps * sum|terms| for the partial sums being checked.
+    # Largest violation of the elementwise optimality conditions at x, the
+    # slack it is held to (a small multiple of the textbook rounding bound
+    # N * eps * sum|terms| for the partial sums being checked), and the
+    # multipliers P_1..P_{N-1}, one row per difference.
     grad = (x - samples) @ sigma_inv
     partial = np.cumsum(grad, axis=0)
     inner = partial[:-1]
@@ -238,7 +255,7 @@ def _mean_certificate(x, samples, sigma_inv, lam):
     gap = float(max(np.abs(partial[-1]).max(),
                     violation.max() if violation.size else 0.0))
     scale = lam + float(np.abs(grad).sum()) + float(np.abs(samples @ sigma_inv).sum())
-    return gap, 16.0 * x.shape[0] * np.finfo(float).eps * scale
+    return gap, 16.0 * x.shape[0] * np.finfo(float).eps * scale, inner
 
 
 def _build_mean_problem(samples, cache, lam, penalty):
@@ -399,9 +416,6 @@ def _build_variance_problem(grams, spec):
         phi_prox_batch=phi,
         psi_prox_batch=_difference_prox(spec.lam, spec.penalty, flat_dim),
         objective=objective,
-        # A backstop only: _check_variance_bounded is the exact test for
-        # an unbounded problem, run before the solve.
-        divergence_floor=-1e8,
     )
 
 
@@ -445,7 +459,7 @@ def segments(estimates, tol=None):
     est, was_1d = _as_series(estimates)
     n_samples = est.shape[0]
     if tol is None:
-        tol = _default_segment_tol(est)
+        tol = 1e-3 * (est.max() - est.min()) + 1e-9 * (1.0 + np.abs(est).max())
     if not tol > 0.0:
         raise ValueError("tol must be positive, got %g" % tol)
 
@@ -459,8 +473,3 @@ def segments(estimates, tol=None):
                     else level)
         )
     return out
-
-
-def _default_segment_tol(est, axis=None):
-    spread = est.max(axis=axis) - est.min(axis=axis)
-    return 1e-3 * spread + 1e-9 * (1.0 + np.abs(est).max(axis=axis))

@@ -389,16 +389,19 @@ def test_polished_protocol_matches_dual_oracle(protocol_instance):
 
 
 def test_rejected_certificate_keeps_iterate(protocol_instance, monkeypatch):
-    # One spurious jump added to every partition the polish reads (the
-    # threshold reading and the prox's zeros alike); the certificate must
-    # refuse both candidates.
+    # One spurious jump, at the first difference the polish's first
+    # partition leaves free, added to every partition it tries; the
+    # certificate must refuse every candidate.
     solve_on_partition = filters._solve_on_partition
-    readings = []
+    spurious = []
+    tried = []
 
     def with_spurious_jump(signs, samples, sigma, lam):
+        if not spurious:
+            spurious.append(np.flatnonzero(signs == 0.0)[0])
         signs = signs.copy()
-        signs.flat[np.flatnonzero(signs == 0.0)[0]] = 1.0
-        readings.append(signs)
+        signs.flat[spurious[0]] = 1.0
+        tried.append(signs)
         return solve_on_partition(signs, samples, sigma, lam)
 
     monkeypatch.setattr(filters, "_solve_on_partition", with_spurious_jump)
@@ -406,7 +409,8 @@ def test_rejected_certificate_keeps_iterate(protocol_instance, monkeypatch):
                                     protocol_instance["spec"],
                                     protocol_instance["config"])
     raw = _unpolished_protocol_solve(protocol_instance)
-    assert len(readings) == 2
+    assert 1 <= len(tried) <= filters._MAX_PATTERNS
+    assert all(signs.flat[spurious[0]] == 1.0 for signs in tried)
     assert not report.polished
     assert report.certificate_gap > 1e-6
     assert np.array_equal(report.x_star, raw.x_star)

@@ -3,7 +3,7 @@ import pytest
 
 from oracles import objective_schedule, textbook_chain_admm
 from tvadmm import admm, filters, prox
-from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
+from tvadmm.exceptions import NumericalFailureError
 from tvadmm.filters import (MeanFilterSpec, Penalty, VarianceFilterSpec,
                             _build_mean_problem, _build_variance_problem,
                             mean_filter)
@@ -239,24 +239,6 @@ class TestSolve:
         with pytest.raises(ValueError):
             admm.solve(problem, admm.SolverConfig(rho=0.5, max_iter=3))
 
-    def test_divergence_guard(self):
-        def drifting_phi(targets, rho):
-            return targets + 10.0
-
-        def psi(targets, rho):
-            return targets
-
-        problem = admm.ChainProblem(
-            n_blocks=3,
-            block_dim=1,
-            phi_prox_batch=drifting_phi,
-            psi_prox_batch=psi,
-            objective=lambda x, r: -1e6 * float((x * x).sum()),
-            divergence_floor=-1e8,
-        )
-        with pytest.raises(UnboundedProblemError):
-            admm.solve(problem, admm.SolverConfig(rho=1.0, max_iter=2000))
-
     def test_default_rho_is_one(self):
         # A custom problem has no penalty of its own to offer: rho=None
         # hands 1 to both prox maps.
@@ -341,32 +323,10 @@ class TestObjectiveSchedule:
         assert report.objective_trace is None
         assert report.objective_iters is None
 
-    @pytest.mark.parametrize("max_iter, raised_at", [(100, 8), (6, 6)])
-    def test_divergence_floor_checked_at_each_evaluation(self, max_iter,
-                                                         raised_at):
-        # One block at alpha = 1 moves z_k = k exactly, so the objective
-        # -z_k first falls below -5 at iteration 6; the next evaluation is
-        # at iteration 8, or at the final iteration when that comes first.
-        problem = admm.ChainProblem(
-            n_blocks=1,
-            block_dim=1,
-            phi_prox_batch=lambda t, rho: t + 1.0,
-            psi_prox_batch=lambda t, rho: t,
-            objective=lambda x, r: -float(x.sum()),
-            divergence_floor=-5.0,
-        )
-        seen = []
-        with pytest.raises(UnboundedProblemError,
-                           match="at iteration %d;" % raised_at):
-            admm.solve(problem,
-                       admm.SolverConfig(rho=1.0, alpha=1.0, max_iter=max_iter),
-                       callback=lambda k, info: seen.append(k))
-        assert seen == list(range(1, raised_at))
-
-    def test_overflow_between_evaluations_is_a_numerical_failure(self):
-        # z_k = k up to iteration 16, an evaluation that passes the floor;
-        # then z grows by 1e150 a step and overflows at iteration 19, long
-        # before the next evaluation at iteration 32 would see the floor.
+    def test_overflow_is_a_numerical_failure_at_its_iteration(self):
+        # z_k = k up to iteration 16, an evaluation of the objective; then
+        # z grows by 1e150 a step and overflows at iteration 19, between
+        # two evaluations, which names that iteration and block.
         calls = []
 
         def phi(targets, rho):
@@ -382,7 +342,6 @@ class TestObjectiveSchedule:
             phi_prox_batch=phi,
             psi_prox_batch=lambda t, rho: t,
             objective=lambda x, r: -float(x.sum()),
-            divergence_floor=-1e6,
         )
         seen = []
         with pytest.raises(NumericalFailureError) as err:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tvadmm
-from tvadmm import cli, lambda_max_mean, segments
+from tvadmm import cli, filters, lambda_max_mean, segments
 from tvadmm.admm import HISTORY_DTYPE
 
 
@@ -332,9 +332,30 @@ class TestMeanCommand:
         assert captured.out.startswith("segments: ")
         assert captured.err == ""
 
-    def test_rejected_certificate_warns(self, tmp_path, capsys):
-        # Converges at the default tolerances, but the polish's candidate
-        # fails its certificate by about 2 lambda.
+    def test_rejected_certificate_warns(self, tmp_path, capsys, monkeypatch):
+        # Converges at the default tolerances; one spurious jump, at the
+        # first difference the polish's first partition leaves free, added
+        # to every partition it tries makes each candidate fail its
+        # certificate.
+        solve_on_partition = filters._solve_on_partition
+        mean_filter = cli.mean_filter
+        spurious = []
+        reports = []
+
+        def with_spurious_jump(signs, samples, sigma, lam):
+            if not spurious:
+                spurious.append(np.flatnonzero(signs == 0.0)[0])
+            signs = signs.copy()
+            signs.flat[spurious[0]] = 1.0
+            return solve_on_partition(signs, samples, sigma, lam)
+
+        def recorded(*args):
+            estimates, report = mean_filter(*args)
+            reports.append(report)
+            return estimates, report
+
+        monkeypatch.setattr(filters, "_solve_on_partition", with_spurious_jump)
+        monkeypatch.setattr(cli, "mean_filter", recorded)
         data, _, _ = cli.generate_piecewise_data(7, n_samples=4000)
         cli.write_matrix_csv(str(tmp_path / "in.csv"), data)
         code, _, _ = run_mean(tmp_path, tmp_path / "in.csv", "--lambda-frac", "0.1")
@@ -344,7 +365,10 @@ class TestMeanCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("warning: converged, but the estimate fails")
-        assert "gap 502" in lines[0] and "--eps-abs/--eps-rel" in lines[0]
+        (report,) = reports
+        assert not report.polished
+        assert "gap %.3g " % report.certificate_gap in lines[0]
+        assert "--eps-abs/--eps-rel" in lines[0]
 
 
 class TestVarCommand:
@@ -508,6 +532,19 @@ class TestSynthCommand:
 def test_generator_counts_are_whole_naming_them(name, value):
     with pytest.raises(ValueError, match="^%s must be a whole number >= 1" % name):
         cli.generate_piecewise_data(1, **{name: value})
+
+
+@pytest.mark.parametrize("value", [2.5, np.nan, np.inf, -1])
+def test_generator_seed_is_whole_naming_it(value):
+    with pytest.raises(ValueError, match="^seed must be a whole number >= 0"):
+        cli.generate_piecewise_data(value)
+
+
+def test_generator_seed_accepts_numpy_integers_and_zero():
+    for got, expected in zip(cli.generate_piecewise_data(np.int64(5)),
+                             cli.generate_piecewise_data(5)):
+        assert np.array_equal(got, expected)
+    cli.generate_piecewise_data(0)
 
 
 def test_no_subcommand_is_input_error(capsys):

@@ -6,6 +6,7 @@ from dataclasses import replace
 from oracles import (bisect_lambda_max, fused_lasso_dual, objective_schedule,
                      partition_optimum, variance_objective)
 from tvadmm import SolverConfig, filters
+from tvadmm.cli import generate_piecewise_data
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
     MeanFilterSpec,
@@ -199,13 +200,14 @@ class TestPolish:
         assert np.abs(partial[:-1][active]
                       - lam * np.sign(jumps[active])).max() <= 1e-9
 
-    def test_prox_zeros_certify_a_jump_the_threshold_misses(self):
-        # A seeded diagonal-sigma instance at default tolerances: one
-        # genuine jump of about 0.014 in the optimum sits below the
-        # threshold reading of the iterate, so only the difference prox's
-        # exact zeros give the partition that certifies.
-        rng = np.random.default_rng(59)
-        n_samples, dim = int(rng.integers(20, 121)), int(rng.integers(1, 4))
+    @staticmethod
+    def check_diagonal_polish(seed, max_samples):
+        # Piecewise-constant data with diagonal noise covariance and an
+        # elementwise weight between 0.05 and 0.3 of lambda_max, solved at
+        # default tolerances: the estimate must be polished.
+        rng = np.random.default_rng(seed)
+        n_samples = int(rng.integers(20, max_samples + 1))
+        dim = int(rng.integers(1, 4))
         n_segments = int(rng.integers(2, 6))
         cuts = np.sort(rng.choice(np.arange(1, n_samples), size=n_segments - 1,
                                   replace=False))
@@ -221,16 +223,61 @@ class TestPolish:
             data, MeanFilterSpec(lam=lam, penalty=Penalty.ELEMENTWISE, sigma=sigma),
             SolverConfig(max_iter=1500))
         assert report.converged and report.polished
-        iterate = report.state.z
-        tol = filters._default_segment_tol(iterate, axis=0)
-        unread = ((np.diff(estimates, axis=0) != 0.0)
-                  & (np.abs(np.diff(iterate, axis=0)) <= tol))
-        assert unread.any()
         # With a diagonal sigma each component is scalar TV denoising with
         # weight variance * lam.
         for c in range(dim):
             oracle = fused_lasso_dual(data[:, c], variances[c] * lam)
             assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
+        return estimates, report
+
+    def test_prox_zeros_certify_a_jump_the_threshold_misses(self):
+        # At default tolerances one genuine jump of about 0.014 in the
+        # optimum sits below a per-component threshold reading of the
+        # iterate (the segments() default tolerance); the difference
+        # prox's exact zeros, the polish's first partition, keep it.
+        estimates, report = self.check_diagonal_polish(59, 120)
+        iterate = report.state.z
+        spread = iterate.max(axis=0) - iterate.min(axis=0)
+        tol = 1e-3 * spread + 1e-9 * (1.0 + np.abs(iterate).max(axis=0))
+        unread = ((np.diff(estimates, axis=0) != 0.0)
+                  & (np.abs(np.diff(iterate, axis=0)) <= tol))
+        assert unread.any()
+
+    def test_active_set_steps_certify_a_wrong_first_partition(self, monkeypatch):
+        # Converged at default tolerances, but the difference prox's zeros
+        # give a partition whose candidate fails the certificate; the
+        # candidates' violations pick partitions until one certifies.
+        solve_on_partition = filters._solve_on_partition
+        tried = []
+
+        def counted(*args):
+            tried.append(args[0])
+            return solve_on_partition(*args)
+
+        monkeypatch.setattr(filters, "_solve_on_partition", counted)
+        self.check_diagonal_polish(5, 200)
+        assert len(tried) > 1
+
+    def test_correlated_sigma_certified(self):
+        # The CLI smoke's correlated-sigma run at default tolerances,
+        # against the iterate of a solve at 1e-10.
+        data, _, _ = generate_piecewise_data(63, n_samples=400, dim=2)
+        sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+        lam = 0.1 * lambda_max_mean(data, sigma, Penalty.ELEMENTWISE)
+        spec = MeanFilterSpec(lam=lam, penalty=Penalty.ELEMENTWISE, sigma=sigma)
+        estimates, report = mean_filter(data, spec)
+        assert report.polished
+        tight = mean_filter(data, spec, TIGHT)[1]
+        assert tight.converged
+        reference = tight.state.z
+        assert np.abs(estimates - reference).max() <= 1e-6
+
+        def objective(x):
+            resid = x - data
+            return (0.5 * float(np.sum(resid * (resid @ np.linalg.inv(sigma))))
+                    + lam * float(np.abs(np.diff(x, axis=0)).sum()))
+
+        assert objective(estimates) <= objective(reference) * (1.0 + 1e-12)
 
     def test_scalar_group_penalty_polished(self):
         rng = np.random.default_rng(12)
@@ -250,9 +297,9 @@ class TestPolish:
         data = np.random.default_rng(13).normal(size=(30, 1))
         lam = 10.0 * lambda_max_mean(data)
         best = np.full_like(data, data.mean())
-        gap, slack = _mean_certificate(best, data, np.eye(1), lam)
+        gap, slack, _ = _mean_certificate(best, data, np.eye(1), lam)
         assert gap <= slack
-        gap, slack = _mean_certificate(best + 0.1, data, np.eye(1), lam)
+        gap, slack, _ = _mean_certificate(best + 0.1, data, np.eye(1), lam)
         assert gap == pytest.approx(3.0) and gap > slack
 
     @pytest.mark.parametrize("dim, sigma_kind", [
