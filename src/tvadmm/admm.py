@@ -120,8 +120,11 @@ class SolverReport:
     iterate with an exact optimum it certified (the mean filter does
     this); the trace then ends with one extra entry for the polished
     estimate, while ``history``, ``iterations``, ``converged`` and
-    ``state`` keep describing the iteration itself, so warm starts
-    resume the iteration unchanged. ``certificate_gap`` is the largest
+    ``state`` describe the iteration that ran, so warm starts resume it.
+    A filter that starts the iteration at the exact fixed point of an
+    optimum it certified beforehand (the mean filter does) reports one
+    iteration and one ``history`` row: that iteration only verified the
+    optimum. ``certificate_gap`` is the largest
     violation of the optimality conditions found by that check (None
     when no check ran). ``r_star`` and ``objective_iters`` are derived
     from these fields.

@@ -16,11 +16,11 @@ import numpy as np
 from scipy.linalg.lapack import dpbsv
 
 from . import linalg, prox
-from .admm import ChainProblem, SolverConfig, solve
+from .admm import ChainProblem, SolverConfig, SolverState, solve
 from .exceptions import (NumericalFailureError, UnboundedProblemError,
                          nonnegative_finite, whole_count)
 
-# Sign patterns the mean polish tries before it keeps the iterate.
+# Sign patterns each active-set attempt tries before it gives up.
 _MAX_PATTERNS = 50
 
 
@@ -110,17 +110,27 @@ def _resolve_rho(config, lam):
 def mean_filter(data, spec, config=None):
     """Estimate a piecewise-constant mean sequence.
 
-    After the iteration stops, the estimate is polished: a segment
-    partition and jump signs define an equality-constrained quadratic
-    problem, solved exactly by one banded LAPACK solve whatever the noise
-    covariance. The first partition is read off the exact zeros of the
-    difference prox at the final iterate; each candidate that fails the
-    optimality conditions picks the next one from its own violations (a
-    primal-dual active-set step), until a partition repeats or 50 have
-    been tried. A certified candidate replaces the iterate (see
-    ``report.polished``); otherwise the iterate is returned with the
-    first candidate's ``report.certificate_gap`` (inf when its solve
-    fails). The group penalty with n > 1 is not polished.
+    The estimate comes from one active-set loop: a segment partition and
+    jump signs define an equality-constrained quadratic problem, solved
+    exactly by one banded LAPACK solve whatever the noise covariance,
+    and each candidate that fails the optimality conditions picks the
+    next partition from its own violations (a primal-dual active-set
+    step), until one certifies, a partition repeats or 50 have been
+    tried. The loop runs twice:
+
+    - before the iteration, from the empty partition (the constant fit).
+      A certified optimum x* with multipliers P starts the iteration at
+      its exact fixed point, z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho
+      and t = -P / rho, so the unchanged residual test stops it after
+      one iteration (``report.iterations == 1``, one ``history`` row);
+      otherwise the iteration starts from zero;
+    - after the iteration, from the exact zeros of the difference prox at
+      the final iterate. A certified candidate replaces the iterate (see
+      ``report.polished``); otherwise the iterate is returned with the
+      first candidate's ``report.certificate_gap`` (inf when its solve
+      fails).
+
+    The group penalty with n > 1 runs neither loop.
 
     Parameters
     ----------
@@ -143,27 +153,62 @@ def mean_filter(data, spec, config=None):
     rho = _resolve_rho(config, spec.lam)
     cache = prox.gaussian_prox_cache(sigma, samples, rho)
     problem = _build_mean_problem(samples, cache, spec.lam, spec.penalty)
-    report = solve(problem, replace(config, rho=rho))
-    if spec.penalty is Penalty.ELEMENTWISE or dim == 1:
+    polishable = spec.penalty is Penalty.ELEMENTWISE or dim == 1
+    initial = _certified_start(samples, sigma, cache, spec.lam) if polishable else None
+    report = solve(problem, replace(config, rho=rho), initial=initial)
+    if polishable:
         report = _polish_mean(report, problem, samples, sigma, cache, spec.lam)
     estimates = report.x_star[:, 0] if was_1d else report.x_star
     return estimates, report
 
 
 def _polish_mean(report, problem, samples, sigma, cache, lam):
+    # The active-set steps from the difference prox's signs at the final
+    # iterate. A certified candidate replaces the iterate; otherwise the
+    # iterate stays, with the first candidate's gap.
+    state = report.state
+    signs = np.sign(problem.psi_prox_batch(state.s - state.t, cache.rho))
+    candidate, _, gap = _active_set(signs, samples, sigma, cache.sigma_inv, lam)
+    if candidate is None:
+        return replace(report, certificate_gap=gap)
+    trace = np.append(report.objective_trace, problem.objective(
+        candidate, np.diff(candidate, axis=0)))
+    return replace(report, x_star=candidate, objective_trace=trace,
+                   polished=True, certificate_gap=gap)
+
+
+def _certified_start(samples, sigma, cache, lam):
+    # The active-set steps from the empty partition, the constant fit. A
+    # certified x* with multipliers P gives the engine's exact fixed
+    # point: z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and
+    # t = -P / rho. Then u + D^T t = 0, so the projection returns (z, s),
+    # and P in lam * sign(Dx*) makes both prox maps return (z, s) too:
+    # the first iteration meets the residual test. None when nothing
+    # certifies.
+    candidate, multipliers, _ = _active_set(
+        np.zeros_like(samples[1:]), samples, sigma, cache.sigma_inv, lam)
+    if candidate is None:
+        return None
+    return SolverState(z=candidate, s=np.diff(candidate, axis=0),
+                       u=(samples - candidate) @ cache.sigma_inv / cache.rho,
+                       t=-multipliers / cache.rho)
+
+
+def _active_set(signs, samples, sigma, sigma_inv, lam):
     # Elementwise penalty (any penalty when n = 1): optimal x satisfy
     # P_k = sum_{j<=k} sigma^{-1} (x_j - y_j) in lam * sign(x_{k+1} - x_k)
     # componentwise (anything in [-lam, lam] where the jump is zero), with
     # P_N = 0. Fixing the partition and the jump signs fixes P at the
-    # jumps, and the other multipliers solve one linear system. The first
-    # signs are the difference prox's at the final iterate; each rejected
-    # candidate picks the next ones by a primal-dual active-set step: a
-    # jump whose height is zero or has the wrong sign is dropped, and a
-    # free multiplier outside [-lam, lam] becomes a jump of its sign.
-    # The candidate's free differences are exactly 0 and its jump
+    # jumps, and the other multipliers solve one linear system. Each
+    # rejected candidate picks the next signs by a primal-dual active-set
+    # step: a jump whose height is zero or has the wrong sign is dropped,
+    # and a free multiplier outside [-lam, lam] becomes a jump of its
+    # sign. The candidate's free differences are exactly 0 and its jump
     # multipliers exactly +-lam, so the step needs no scaling constant.
-    state = report.state
-    signs = np.sign(problem.psi_prox_batch(state.s - state.t, cache.rho))
+    # Stops on a certificate, a repeated pattern, a failed solve or
+    # _MAX_PATTERNS patterns. Returns (candidate, P, gap) on a
+    # certificate, else (None, None, the first candidate's gap), the gap
+    # inf when that solve failed.
     tried = set()
     gaps = []
     while len(tried) < _MAX_PATTERNS:
@@ -176,17 +221,14 @@ def _polish_mean(report, problem, samples, sigma, cache, lam):
             gaps.append(np.inf)
             break
         gap, slack, multipliers = _mean_certificate(candidate, samples,
-                                                    cache.sigma_inv, lam)
+                                                    sigma_inv, lam)
         if gap <= slack:
-            trace = np.append(report.objective_trace, problem.objective(
-                candidate, np.diff(candidate, axis=0)))
-            return replace(report, x_star=candidate, objective_trace=trace,
-                           polished=True, certificate_gap=gap)
+            return candidate, multipliers, gap
         gaps.append(gap)
         heights = signs * np.diff(candidate, axis=0)
         signs = np.where(heights > 0.0, signs, np.where(
             (signs == 0.0) & (np.abs(multipliers) > lam), np.sign(multipliers), 0.0))
-    return replace(report, certificate_gap=gaps[0])
+    return None, None, gaps[0]
 
 
 def _solve_on_partition(signs, samples, sigma, lam):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import dense_project, difference_operator, fused_lasso_dual, \
-    objective_schedule, textbook_chain_admm
+    textbook_chain_admm
 from tvadmm import (
     MeanFilterSpec,
     SolverConfig,
@@ -359,12 +359,15 @@ def test_criterion_10_plain_admm_equivalence():
     )
 
 
-def _unpolished_protocol_solve(instance):
+def _protocol_problem(instance):
     data = np.asarray(instance["data"], dtype=float).reshape(-1, 1)
     lam = instance["lam"]
     cache = prox.gaussian_prox_cache(np.eye(1), data, lam)
-    problem = _build_mean_problem(data, cache, lam, Penalty.ELEMENTWISE)
-    return admm.solve(problem, instance["config"])
+    return _build_mean_problem(data, cache, lam, Penalty.ELEMENTWISE)
+
+
+def _unpolished_protocol_solve(instance):
+    return admm.solve(_protocol_problem(instance), instance["config"])
 
 
 def test_polished_protocol_matches_dual_oracle(protocol_instance):
@@ -375,42 +378,54 @@ def test_polished_protocol_matches_dual_oracle(protocol_instance):
     assert report.certificate_gap is not None and report.certificate_gap <= 1e-9
     assert dev <= 1e-7
 
-    # Polishing leaves the iteration's own record alone and extends the
-    # objective trace by the polished estimate's objective.
+    # The certified start is the engine's fixed point: one iteration
+    # verifies it, the trace holds that iteration's objective and the
+    # polished estimate's, and the state resumes at its fixed point.
+    (row,) = report.history
+    assert report.iterations == 1 and report.converged
+    assert row["primal"] <= row["eps_pri"] and row["dual"] <= row["eps_dual"]
     raw = _unpolished_protocol_solve(protocol_instance)
-    assert report.iterations == raw.iterations
-    assert np.array_equal(report.history, raw.history)
-    assert np.array_equal(report.state.z, raw.state.z)
-    assert np.array_equal(report.state.u, raw.state.u)
-    assert np.array_equal(report.objective_trace[:-1], raw.objective_trace)
-    assert len(report.objective_trace) == (
-        len(objective_schedule(raw.iterations)) + 1)
+    assert len(report.objective_trace) == 2
     assert report.objective_trace[-1] <= raw.objective_trace[-1]
+    resumed = admm.solve(_protocol_problem(protocol_instance),
+                         protocol_instance["config"], initial=report.state)
+    assert resumed.converged and resumed.iterations == 1
+    assert np.abs(resumed.state.z.ravel()
+                  - protocol_instance["estimates"].ravel()).max() <= 1e-12
 
 
 def test_rejected_certificate_keeps_iterate(protocol_instance, monkeypatch):
-    # One spurious jump, at the first difference the polish's first
-    # partition leaves free, added to every partition it tries; the
-    # certificate must refuse every candidate.
+    # One spurious jump, at the first difference the start's empty
+    # partition leaves free, added to every partition either attempt (the
+    # start, then the polish) tries; the certificate must refuse every
+    # candidate, so the solve runs cold and keeps its iterate.
     solve_on_partition = filters._solve_on_partition
+    active_set = filters._active_set
     spurious = []
-    tried = []
+    attempts = []
 
     def with_spurious_jump(signs, samples, sigma, lam):
         if not spurious:
             spurious.append(np.flatnonzero(signs == 0.0)[0])
         signs = signs.copy()
         signs.flat[spurious[0]] = 1.0
-        tried.append(signs)
+        attempts[-1].append(signs)
         return solve_on_partition(signs, samples, sigma, lam)
 
+    def recorded_attempt(*args):
+        attempts.append([])
+        return active_set(*args)
+
     monkeypatch.setattr(filters, "_solve_on_partition", with_spurious_jump)
+    monkeypatch.setattr(filters, "_active_set", recorded_attempt)
     estimates, report = mean_filter(protocol_instance["data"],
                                     protocol_instance["spec"],
                                     protocol_instance["config"])
     raw = _unpolished_protocol_solve(protocol_instance)
-    assert 1 <= len(tried) <= filters._MAX_PATTERNS
-    assert all(signs.flat[spurious[0]] == 1.0 for signs in tried)
+    assert len(attempts) == 2
+    assert all(1 <= len(tried) <= filters._MAX_PATTERNS for tried in attempts)
+    assert all(signs.flat[spurious[0]] == 1.0
+               for tried in attempts for signs in tried)
     assert not report.polished
     assert report.certificate_gap > 1e-6
     assert np.array_equal(report.x_star, raw.x_star)

@@ -55,13 +55,29 @@ def assert_one_span_per_iteration(spans, tracer, report):
     assert metrics["projection.us_per_call"] > 0.0
 
 
-def test_mean_filter_layers_traced():
+def mean_data():
     rng = np.random.default_rng(70)
     data = np.repeat(rng.normal(scale=2.0, size=(3, 2)), 20, axis=0)
-    data += 0.3 * rng.normal(size=data.shape)
-    spec = MeanFilterSpec(lam=1.0, penalty=Penalty.ELEMENTWISE)
+    return data + 0.3 * rng.normal(size=data.shape)
+
+
+def test_mean_filter_layers_traced():
+    # The group penalty with n > 1 has no certified start, so it iterates.
+    data = mean_data()
+    spec = MeanFilterSpec(lam=1.0, penalty=Penalty.GROUP)
     assert_one_span_per_iteration(
         *traced(lambda: tvadmm.filters.mean_filter(data, spec)))
+
+
+def test_certified_mean_filter_traces_its_one_iteration():
+    data = mean_data()
+    spec = MeanFilterSpec(lam=1.0, penalty=Penalty.ELEMENTWISE)
+    spans, tracer, report = traced(lambda: tvadmm.filters.mean_filter(data, spec))
+    assert report.polished and report.iterations == 1
+    assert tracer.counts["admm.iterations"] == 1
+    for name in PER_ITERATION + ("admm.objective",):
+        assert tracer.calls[name] == 1, name
+    assert spans.layer_metrics(tracer)["admm.iterations"] == 1
 
 
 def test_variance_filter_layers_traced():

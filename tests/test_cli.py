@@ -268,9 +268,11 @@ class TestMeanCommand:
         assert last[2] <= last[4]
 
     def test_not_converged_exit_code(self, tmp_path, capsys):
-        data = write_lines(tmp_path / "in.csv", "0\n5\n-4\n8\n")
+        # The group penalty with n > 1 has no certified start, so two
+        # iterations stay short of convergence.
+        data = write_lines(tmp_path / "in.csv", "0,1\n5,-2\n-4,3\n8,0\n")
         code, out, res = run_mean(tmp_path, data, "--lambda", "1.0",
-                                  "--max-iter", "2")
+                                  "--penalty", "group", "--max-iter", "2")
         assert code == cli.EXIT_NOT_CONVERGED
         # results are still written
         assert out.exists() and res.exists()
@@ -333,10 +335,11 @@ class TestMeanCommand:
         assert captured.err == ""
 
     def test_rejected_certificate_warns(self, tmp_path, capsys, monkeypatch):
-        # Converges at the default tolerances; one spurious jump, at the
-        # first difference the polish's first partition leaves free, added
-        # to every partition it tries makes each candidate fail its
-        # certificate.
+        # One spurious jump, at the first difference the start's empty
+        # partition leaves free, added to every partition either attempt
+        # (the start, then the polish) tries makes each candidate fail its
+        # certificate, so the solve runs cold and converges at the default
+        # tolerances.
         solve_on_partition = filters._solve_on_partition
         mean_filter = cli.mean_filter
         spurious = []

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 from oracles import (bisect_lambda_max, fused_lasso_dual, objective_schedule,
                      partition_optimum, variance_objective)
-from tvadmm import SolverConfig, filters
+from tvadmm import SolverConfig, admm, filters, prox
 from tvadmm.cli import generate_piecewise_data
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
@@ -230,11 +230,13 @@ class TestPolish:
             assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
         return estimates, report
 
-    def test_prox_zeros_certify_a_jump_the_threshold_misses(self):
+    def test_prox_zeros_certify_a_jump_the_threshold_misses(self, monkeypatch):
         # At default tolerances one genuine jump of about 0.014 in the
         # optimum sits below a per-component threshold reading of the
         # iterate (the segments() default tolerance); the difference
-        # prox's exact zeros, the polish's first partition, keep it.
+        # prox's exact zeros, the polish's first partition, keep it. The
+        # start finds nothing, so the solve iterates from zero.
+        monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
         estimates, report = self.check_diagonal_polish(59, 120)
         iterate = report.state.z
         spread = iterate.max(axis=0) - iterate.min(axis=0)
@@ -246,7 +248,9 @@ class TestPolish:
     def test_active_set_steps_certify_a_wrong_first_partition(self, monkeypatch):
         # Converged at default tolerances, but the difference prox's zeros
         # give a partition whose candidate fails the certificate; the
-        # candidates' violations pick partitions until one certifies.
+        # candidates' violations pick partitions until one certifies. The
+        # start finds nothing, so the solve iterates from zero.
+        monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
         solve_on_partition = filters._solve_on_partition
         tried = []
 
@@ -351,6 +355,85 @@ class TestPolish:
                                     VarianceFilterSpec(lam=5.0))
         assert not report.polished
         assert report.certificate_gap is None
+
+
+def random_mean_case(seed, kind):
+    # Piecewise-constant data with 1 to 6 segments, noise of the kind's
+    # covariance and a weight from 0.01 to 0.9 of lambda_max. "scalar
+    # group" is a scalar series under the group penalty; the other kinds
+    # name the covariance of an elementwise problem with n = 1 to 3.
+    rng = np.random.default_rng(seed)
+    n_samples = int(rng.integers(20, 401))
+    dim = 1 if kind == "scalar group" else int(rng.integers(1, 4))
+    n_segments = int(rng.integers(1, 7))
+    cuts = np.sort(rng.choice(np.arange(1, n_samples), size=n_segments - 1,
+                              replace=False))
+    lengths = np.diff(np.concatenate(([0], cuts, [n_samples])))
+    truth = np.repeat(rng.uniform(-3, 3, size=(n_segments, dim)), lengths, axis=0)
+    m = rng.normal(size=(dim, dim))
+    sigma = {
+        "identity": np.eye(dim),
+        "diagonal": np.diag(rng.uniform(0.5, 2.0, size=dim)),
+        "correlated": m @ m.T + 0.5 * np.eye(dim),
+        "scalar group": np.eye(1),
+    }[kind]
+    data = truth + rng.standard_normal((n_samples, dim)) @ np.linalg.cholesky(sigma).T
+    penalty = Penalty.GROUP if kind == "scalar group" else Penalty.ELEMENTWISE
+    lam = rng.uniform(0.01, 0.9) * lambda_max_mean(data, sigma, penalty)
+    return data, MeanFilterSpec(lam=lam, penalty=penalty, sigma=sigma)
+
+
+class TestCertifiedStart:
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "correlated",
+                                      "scalar group"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances_verified_in_one_iteration(self, kind, seed):
+        data, spec = random_mean_case(seed, kind)
+        estimates, report = mean_filter(data, spec)
+        assert report.polished and report.converged
+        assert report.iterations == 1
+        if kind == "diagonal":
+            for c in range(data.shape[1]):
+                oracle = fused_lasso_dual(data[:, c], spec.sigma[c, c] * spec.lam)
+                assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
+
+    @pytest.mark.parametrize("kind", ["identity", "correlated", "scalar group"])
+    def test_start_is_an_engine_fixed_point(self, kind):
+        # One iteration with tolerances it cannot meet moves no array of
+        # the start by more than rounding.
+        data, spec = random_mean_case(7, kind)
+        cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
+        start = filters._certified_start(data, spec.sigma, cache, spec.lam)
+        assert start is not None
+        problem = filters._build_mean_problem(data, cache, spec.lam, spec.penalty)
+        config = SolverConfig(rho=spec.lam, eps_abs=1e-300, eps_rel=1e-300,
+                              max_iter=1)
+        state = admm.solve(problem, config, initial=start).state
+        for name in ("z", "s", "u", "t"):
+            before, after = getattr(start, name), getattr(state, name)
+            assert np.abs(after - before).max() <= 1e-12 * (1.0 + np.abs(before).max()), name
+
+    @pytest.mark.parametrize("kind", ["diagonal", "correlated", "scalar group"])
+    def test_failed_start_is_the_cold_solve_and_polish(self, monkeypatch, kind):
+        data, spec = random_mean_case(8, kind)
+        monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
+        _, report = mean_filter(data, spec)
+        cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
+        problem = filters._build_mean_problem(data, cache, spec.lam, spec.penalty)
+        cold = admm.solve(problem, SolverConfig(rho=spec.lam))
+        expected = filters._polish_mean(cold, problem, data, spec.sigma, cache,
+                                        spec.lam)
+        assert cold.iterations > 1
+        assert (report.iterations, report.converged, report.polished,
+                report.certificate_gap) == (
+            expected.iterations, expected.converged, expected.polished,
+            expected.certificate_gap)
+        assert np.array_equal(report.history, expected.history)
+        assert np.array_equal(report.objective_trace, expected.objective_trace)
+        assert np.array_equal(report.x_star, expected.x_star)
+        for name in ("z", "s", "u", "t"):
+            assert np.array_equal(getattr(report.state, name),
+                                  getattr(expected.state, name)), name
 
 
 class TestLambdaMax:
