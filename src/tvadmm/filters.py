@@ -116,19 +116,24 @@ def mean_filter(data, spec, config=None):
     and each candidate that fails the optimality conditions picks the
     next partition from its own violations (a primal-dual active-set
     step), until one certifies, a partition repeats or 50 have been
-    tried. The loop runs twice:
+    tried. The loop runs before the iteration and, when that finds
+    nothing, once more after it:
 
-    - before the iteration, from the empty partition (the constant fit).
-      A certified optimum x* with multipliers P starts the iteration at
-      its exact fixed point, z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho
-      and t = -P / rho, so the unchanged residual test stops it after
-      one iteration (``report.iterations == 1``, one ``history`` row);
-      otherwise the iteration starts from zero;
-    - after the iteration, from the exact zeros of the difference prox at
-      the final iterate. A certified candidate replaces the iterate (see
-      ``report.polished``); otherwise the iterate is returned with the
-      first candidate's ``report.certificate_gap`` (inf when its solve
-      fails).
+    - the start takes each component's exact 1-D total variation
+      partition with weight ``sigma[c, c] * lam`` (Condat's direct
+      algorithm), which is the optimum's partition when sigma is
+      diagonal and a first guess otherwise. A certified optimum x* with
+      multipliers P starts the iteration at its exact fixed point,
+      z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and t = -P / rho, so
+      the unchanged residual test stops it after one iteration
+      (``report.iterations == 1``, one ``history`` row), and x* is
+      returned (``report.polished``); otherwise the iteration starts
+      from zero;
+    - the polish, only when the start fails, runs from the exact zeros of
+      the difference prox at the final iterate. A certified candidate
+      replaces the iterate (see ``report.polished``); otherwise the
+      iterate is returned with the first candidate's
+      ``report.certificate_gap`` (inf when its solve fails).
 
     The group penalty with n > 1 runs neither loop.
 
@@ -154,9 +159,12 @@ def mean_filter(data, spec, config=None):
     cache = prox.gaussian_prox_cache(sigma, samples, rho)
     problem = _build_mean_problem(samples, cache, spec.lam, spec.penalty)
     polishable = spec.penalty is Penalty.ELEMENTWISE or dim == 1
-    initial = _certified_start(samples, sigma, cache, spec.lam) if polishable else None
+    start = _certified_start(samples, sigma, cache, spec.lam) if polishable else None
+    initial, gap = start if start is not None else (None, None)
     report = solve(problem, replace(config, rho=rho), initial=initial)
-    if polishable:
+    if initial is not None:
+        report = _with_estimate(report, problem, initial.z, gap)
+    elif polishable:
         report = _polish_mean(report, problem, samples, sigma, cache, spec.lam)
     estimates = report.x_star[:, 0] if was_1d else report.x_star
     return estimates, report
@@ -171,6 +179,12 @@ def _polish_mean(report, problem, samples, sigma, cache, lam):
     candidate, _, gap = _active_set(signs, samples, sigma, cache.sigma_inv, lam)
     if candidate is None:
         return replace(report, certificate_gap=gap)
+    return _with_estimate(report, problem, candidate, gap)
+
+
+def _with_estimate(report, problem, candidate, gap):
+    # The report returning a certified candidate, its objective appended
+    # to the trace.
     trace = np.append(report.objective_trace, problem.objective(
         candidate, np.diff(candidate, axis=0)))
     return replace(report, x_star=candidate, objective_trace=trace,
@@ -178,20 +192,91 @@ def _polish_mean(report, problem, samples, sigma, cache, lam):
 
 
 def _certified_start(samples, sigma, cache, lam):
-    # The active-set steps from the empty partition, the constant fit. A
+    # The active-set steps from each component's exact TV partition. A
     # certified x* with multipliers P gives the engine's exact fixed
     # point: z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and
     # t = -P / rho. Then u + D^T t = 0, so the projection returns (z, s),
     # and P in lam * sign(Dx*) makes both prox maps return (z, s) too:
-    # the first iteration meets the residual test. None when nothing
-    # certifies.
-    candidate, multipliers, _ = _active_set(
-        np.zeros_like(samples[1:]), samples, sigma, cache.sigma_inv, lam)
+    # the first iteration meets the residual test. Returns (that state,
+    # the certificate gap), or None when nothing certifies.
+    candidate, multipliers, gap = _active_set(
+        _tv_partition(samples, sigma, lam), samples, sigma, cache.sigma_inv, lam)
     if candidate is None:
         return None
-    return SolverState(z=candidate, s=np.diff(candidate, axis=0),
-                       u=(samples - candidate) @ cache.sigma_inv / cache.rho,
-                       t=-multipliers / cache.rho)
+    state = SolverState(z=candidate, s=np.diff(candidate, axis=0),
+                        u=(samples - candidate) @ cache.sigma_inv / cache.rho,
+                        t=-multipliers / cache.rho)
+    return state, gap
+
+
+def _tv_partition(samples, sigma, lam):
+    # The (N - 1, n) jump signs of each component's exact 1-D total
+    # variation denoising with weight sigma[c, c] * lam (Condat, IEEE SPL
+    # 2013): the optimum's partition when sigma is diagonal, a first
+    # guess otherwise. The direct algorithm walks the series once. It
+    # keeps the range [vmin, vmax] of levels the open segment can still
+    # take and the dual's value (umin, umax) at each bound; when one
+    # leaves [-w, w] the segment closes at that bound, at the last sample
+    # where its dual was tight. Only each segment's end and level are
+    # recorded.
+    signs = np.zeros_like(samples[1:])
+    for c in range(samples.shape[1]):
+        y = samples[:, c].tolist()
+        w = float(sigma[c, c]) * lam
+        last = len(y) - 1
+        ends, levels = [], []
+        k = k0 = kminus = kplus = 0
+        umin, umax = w, -w
+        vmin, vmax = y[0] - w, y[0] + w
+        while True:
+            while k < last:
+                following = y[k + 1]
+                umin += following - vmin
+                if umin < -w:
+                    ends.append(kminus)
+                    levels.append(vmin)
+                    k = k0 = kminus = kplus = kminus + 1
+                    vmin = y[k]
+                    vmax = vmin + 2.0 * w
+                    umin, umax = w, -w
+                    continue
+                umax += following - vmax
+                if umax > w:
+                    ends.append(kplus)
+                    levels.append(vmax)
+                    k = k0 = kminus = kplus = kplus + 1
+                    vmax = y[k]
+                    vmin = vmax - 2.0 * w
+                    umin, umax = w, -w
+                    continue
+                k += 1
+                if umin >= w:
+                    kminus = k
+                    vmin += (umin - w) / (k - k0 + 1)
+                    umin = w
+                if umax <= -w:
+                    kplus = k
+                    vmax += (umax + w) / (k - k0 + 1)
+                    umax = -w
+            # The right end: the open segment's dual must end at 0.
+            if umin < 0.0:
+                ends.append(kminus)
+                levels.append(vmin)
+                k = k0 = kminus = kminus + 1
+                vmin, umin = y[k], w
+                umax = vmin + w - vmax
+            elif umax > 0.0:
+                ends.append(kplus)
+                levels.append(vmax)
+                k = k0 = kplus = kplus + 1
+                vmax, umax = y[k], -w
+                umin = vmax - w - vmin
+            else:
+                ends.append(k)
+                levels.append(vmin + umin / (k - k0 + 1))
+                break
+        signs[ends[:-1], c] = np.sign(np.diff(levels))
+    return signs
 
 
 def _active_set(signs, samples, sigma, sigma_inv, lam):

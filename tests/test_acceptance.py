@@ -395,10 +395,11 @@ def test_polished_protocol_matches_dual_oracle(protocol_instance):
 
 
 def test_rejected_certificate_keeps_iterate(protocol_instance, monkeypatch):
-    # One spurious jump, at the first difference the start's empty
-    # partition leaves free, added to every partition either attempt (the
-    # start, then the polish) tries; the certificate must refuse every
-    # candidate, so the solve runs cold and keeps its iterate.
+    # One spurious jump, at the first difference the start's first
+    # partition (the exact TV partition) leaves free, added to every
+    # partition either attempt (the start, then the polish) tries; the
+    # certificate must refuse every candidate, so the solve runs cold and
+    # keeps its iterate.
     solve_on_partition = filters._solve_on_partition
     active_set = filters._active_set
     spurious = []

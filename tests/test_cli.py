@@ -335,7 +335,7 @@ class TestMeanCommand:
         assert captured.err == ""
 
     def test_rejected_certificate_warns(self, tmp_path, capsys, monkeypatch):
-        # One spurious jump, at the first difference the start's empty
+        # One spurious jump, at the first difference the start's first
         # partition leaves free, added to every partition either attempt
         # (the start, then the polish) tries makes each candidate fail its
         # certificate, so the solve runs cold and converges at the default

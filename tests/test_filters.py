@@ -50,6 +50,19 @@ def capture_rho(monkeypatch):
     return seen
 
 
+def count_partition_solves(monkeypatch):
+    # The partitions filters._solve_on_partition is asked to solve.
+    solve_on_partition = filters._solve_on_partition
+    tried = []
+
+    def counted(*args):
+        tried.append(args[0])
+        return solve_on_partition(*args)
+
+    monkeypatch.setattr(filters, "_solve_on_partition", counted)
+    return tried
+
+
 class TestDefaultRho:
     """rho=None hands the filter's weight to both prox maps, or 1 when the
     weight is 0; an explicit rho is used as given."""
@@ -251,14 +264,7 @@ class TestPolish:
         # candidates' violations pick partitions until one certifies. The
         # start finds nothing, so the solve iterates from zero.
         monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
-        solve_on_partition = filters._solve_on_partition
-        tried = []
-
-        def counted(*args):
-            tried.append(args[0])
-            return solve_on_partition(*args)
-
-        monkeypatch.setattr(filters, "_solve_on_partition", counted)
+        tried = count_partition_solves(monkeypatch)
         self.check_diagonal_polish(5, 200)
         assert len(tried) > 1
 
@@ -387,12 +393,17 @@ class TestCertifiedStart:
     @pytest.mark.parametrize("kind", ["identity", "diagonal", "correlated",
                                       "scalar group"])
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_instances_verified_in_one_iteration(self, kind, seed):
+    def test_random_instances_verified_in_one_iteration(self, monkeypatch,
+                                                        kind, seed):
         data, spec = random_mean_case(seed, kind)
+        tried = count_partition_solves(monkeypatch)
         estimates, report = mean_filter(data, spec)
         assert report.polished and report.converged
         assert report.iterations == 1
-        if kind == "diagonal":
+        if kind != "correlated":
+            # The components decouple, so each one's exact TV partition
+            # is the optimum's: one banded solve, certified.
+            assert len(tried) == 1
             for c in range(data.shape[1]):
                 oracle = fused_lasso_dual(data[:, c], spec.sigma[c, c] * spec.lam)
                 assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
@@ -403,8 +414,9 @@ class TestCertifiedStart:
         # the start by more than rounding.
         data, spec = random_mean_case(7, kind)
         cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
-        start = filters._certified_start(data, spec.sigma, cache, spec.lam)
-        assert start is not None
+        certified = filters._certified_start(data, spec.sigma, cache, spec.lam)
+        assert certified is not None
+        start, _ = certified
         problem = filters._build_mean_problem(data, cache, spec.lam, spec.penalty)
         config = SolverConfig(rho=spec.lam, eps_abs=1e-300, eps_rel=1e-300,
                               max_iter=1)
@@ -434,6 +446,68 @@ class TestCertifiedStart:
         for name in ("z", "s", "u", "t"):
             assert np.array_equal(getattr(report.state, name),
                                   getattr(expected.state, name)), name
+
+
+class TestFirstPartition:
+    """The start's first partition is each component's exact 1-D TV
+    partition, so a scalar or diagonal-sigma problem certifies on the one
+    banded solve of that partition."""
+
+    @pytest.mark.parametrize("data, lam_frac", [
+        (np.array([1.5]), 0.5),
+        (np.array([0.0, 2.0]), 0.5),
+        (np.array([0.0, 2.0]), 1.5),
+        (np.random.default_rng(30).normal(size=40), 0.0),
+        (np.random.default_rng(31).normal(size=40), 1.0),
+        (np.random.default_rng(32).normal(size=40), 3.0),
+        (np.full(12, 2.5), 0.5),
+        (np.repeat([1.0, 3.0, 1.0, 2.0], 5), 0.0),
+        (np.repeat([1.0, 3.0, 1.0, 2.0], 5), 0.1),
+        (1e8 * np.random.default_rng(33).normal(size=40), 0.1),
+    ], ids=["N=1", "N=2", "N=2 above", "lambda=0", "at lambda_max",
+            "above lambda_max", "constant", "ties lambda=0", "ties",
+            "scale 1e8"])
+    def test_edge_cases(self, monkeypatch, data, lam_frac):
+        # lam_frac scales lambda_max, or 1 when that is 0 (one sample or
+        # constant data).
+        lam_max = lambda_max_mean(data) if data.size > 1 else 0.0
+        lam = lam_frac * (lam_max if lam_max > 0.0 else 1.0)
+        tried = count_partition_solves(monkeypatch)
+        estimates, report = mean_filter(data, MeanFilterSpec(lam=lam))
+        assert len(tried) == 1
+        assert report.polished and report.iterations == 1
+        if lam_frac > 1.0:
+            # Above lambda_max the optimum is constant: no jump to solve.
+            assert not tried[0].any()
+        scale = 1.0 + np.abs(data).max()
+        # With one sample or lam = 0 the optimum is the data itself.
+        expected = data if data.size == 1 or lam == 0.0 else fused_lasso_dual(data, lam)
+        assert np.abs(estimates - expected).max() <= 1e-7 * scale
+
+    def test_empty_first_partition_is_the_plain_active_set(self, monkeypatch):
+        data, spec = random_mean_case(9, "diagonal")
+        cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
+        empty = np.zeros_like(data[1:])
+        monkeypatch.setattr(filters, "_tv_partition", lambda *args: empty)
+        start, gap = filters._certified_start(data, spec.sigma, cache, spec.lam)
+        candidate, multipliers, expected_gap = filters._active_set(
+            empty, data, spec.sigma, cache.sigma_inv, spec.lam)
+        assert candidate is not None and gap == expected_gap
+        assert np.array_equal(start.z, candidate)
+        assert np.array_equal(start.t, -multipliers / cache.rho)
+
+    def test_flipped_sign_still_certifies(self, monkeypatch):
+        data, spec = random_mean_case(9, "diagonal")
+        cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
+        exact = filters._tv_partition(data, spec.sigma, spec.lam)
+        (first, *_), (component, *_) = np.nonzero(exact)
+        flipped = exact.copy()
+        flipped[first, component] *= -1.0
+        monkeypatch.setattr(filters, "_tv_partition", lambda *args: flipped)
+        tried = count_partition_solves(monkeypatch)
+        start, _ = filters._certified_start(data, spec.sigma, cache, spec.lam)
+        assert len(tried) > 1
+        assert np.array_equal(np.sign(np.diff(start.z, axis=0)), exact)
 
 
 class TestLambdaMax:
