@@ -198,13 +198,10 @@ def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5):
 
 
 def _solver_config(args):
-    return SolverConfig(
-        rho=args.rho,
-        alpha=args.alpha,
-        eps_abs=args.eps_abs,
-        eps_rel=args.eps_rel,
-        max_iter=args.max_iter,
-    )
+    given = vars(args)
+    return SolverConfig(**{name: given[name] for name in
+                           ("rho", "alpha", "eps_abs", "eps_rel", "max_iter")
+                           if name in given})
 
 
 def _resolve_lambda(args, data, sigma, penalty):
@@ -315,11 +312,12 @@ def _add_solver_flags(sub, with_lambda_frac):
                      default="group")
     sub.add_argument("--rho", type=float, default=None,
                      help="penalty parameter (default: lambda, or 1 if zero)")
-    sub.add_argument("--alpha", type=float, default=1.8,
+    # Left out, these keep SolverConfig's defaults.
+    sub.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
                      help="over-relaxation parameter in [1, 2)")
-    sub.add_argument("--eps-abs", type=float, default=1e-4)
-    sub.add_argument("--eps-rel", type=float, default=1e-3)
-    sub.add_argument("--max-iter", type=int, default=10000)
+    sub.add_argument("--eps-abs", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--eps-rel", type=float, default=argparse.SUPPRESS)
+    sub.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
 
 
 def build_parser():

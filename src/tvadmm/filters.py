@@ -124,16 +124,20 @@ def mean_filter(data, spec, config=None):
       algorithm), which is the optimum's partition when sigma is
       diagonal and a first guess otherwise. A certified optimum x* with
       multipliers P starts the iteration at its exact fixed point,
-      z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and t = -P / rho, so
-      the unchanged residual test stops it after one iteration
-      (``report.iterations == 1``, one ``history`` row), and x* is
-      returned (``report.polished``); otherwise the iteration starts
-      from zero;
-    - the polish, only when the start fails, runs from the exact zeros of
-      the difference prox at the final iterate. A certified candidate
-      replaces the iterate (see ``report.polished``); otherwise the
-      iterate is returned with the first candidate's
-      ``report.certificate_gap`` (inf when its solve fails).
+      z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and t = -P / rho,
+      and exactly one iteration verifies it (``report.iterations == 1``,
+      one ``history`` row). That iteration meets the unchanged residual
+      test unless rounding at an extreme data scale breaks it, in which
+      case ``report.converged`` is False; x* is returned either way;
+    - the polish, only when the start fails, runs after a cold iteration
+      from zero, from the exact zeros of the difference prox at the
+      final iterate.
+
+    A certified candidate is returned with ``report.polished`` and its
+    objective appended to ``report.objective_trace``; otherwise the
+    iterate is returned. ``report.certificate_gap`` is the certified
+    candidate's gap, else the polish's first candidate's (inf when its
+    solve fails).
 
     The group penalty with n > 1 runs neither loop.
 
@@ -153,60 +157,47 @@ def mean_filter(data, spec, config=None):
     if config is None:
         config = SolverConfig()
     samples, was_1d = _as_series(data)
-    n_samples, dim = samples.shape
+    dim = samples.shape[1]
     sigma = prox.noise_covariance(spec.sigma, dim)
-    rho = _resolve_rho(config, spec.lam)
-    cache = prox.gaussian_prox_cache(sigma, samples, rho)
-    problem = _build_mean_problem(samples, cache, spec.lam, spec.penalty)
+    lam = spec.lam
+    config = replace(config, rho=_resolve_rho(config, lam))
+    cache = prox.gaussian_prox_cache(sigma, samples, config.rho)
+    problem = _build_mean_problem(samples, cache, lam, spec.penalty)
     polishable = spec.penalty is Penalty.ELEMENTWISE or dim == 1
-    start = _certified_start(samples, sigma, cache, spec.lam) if polishable else None
-    initial, gap = start if start is not None else (None, None)
-    report = solve(problem, replace(config, rho=rho), initial=initial)
-    if initial is not None:
-        report = _with_estimate(report, problem, initial.z, gap)
-    elif polishable:
-        report = _polish_mean(report, problem, samples, sigma, cache, spec.lam)
+    candidate = gap = None
+    if polishable:
+        candidate, multipliers, gap = _active_set(
+            _tv_partition(samples, sigma, lam), samples, sigma, cache.sigma_inv, lam)
+    if candidate is not None:
+        # One iteration verifies the certified start, whatever it reports.
+        report = solve(problem, replace(config, max_iter=1),
+                       initial=_fixed_point(candidate, multipliers, samples, cache))
+    else:
+        report = solve(problem, config)
+        if polishable:
+            state = report.state
+            signs = np.sign(problem.psi_prox_batch(state.s - state.t, config.rho))
+            candidate, _, gap = _active_set(signs, samples, sigma, cache.sigma_inv, lam)
+
+    report.certificate_gap = gap
+    if candidate is not None:
+        report.x_star = candidate
+        report.polished = True
+        report.objective_trace = np.append(report.objective_trace, problem.objective(
+            candidate, np.diff(candidate, axis=0)))
     estimates = report.x_star[:, 0] if was_1d else report.x_star
     return estimates, report
 
 
-def _polish_mean(report, problem, samples, sigma, cache, lam):
-    # The active-set steps from the difference prox's signs at the final
-    # iterate. A certified candidate replaces the iterate; otherwise the
-    # iterate stays, with the first candidate's gap.
-    state = report.state
-    signs = np.sign(problem.psi_prox_batch(state.s - state.t, cache.rho))
-    candidate, _, gap = _active_set(signs, samples, sigma, cache.sigma_inv, lam)
-    if candidate is None:
-        return replace(report, certificate_gap=gap)
-    return _with_estimate(report, problem, candidate, gap)
-
-
-def _with_estimate(report, problem, candidate, gap):
-    # The report returning a certified candidate, its objective appended
-    # to the trace.
-    trace = np.append(report.objective_trace, problem.objective(
-        candidate, np.diff(candidate, axis=0)))
-    return replace(report, x_star=candidate, objective_trace=trace,
-                   polished=True, certificate_gap=gap)
-
-
-def _certified_start(samples, sigma, cache, lam):
-    # The active-set steps from each component's exact TV partition. A
-    # certified x* with multipliers P gives the engine's exact fixed
-    # point: z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and
-    # t = -P / rho. Then u + D^T t = 0, so the projection returns (z, s),
-    # and P in lam * sign(Dx*) makes both prox maps return (z, s) too:
-    # the first iteration meets the residual test. Returns (that state,
-    # the certificate gap), or None when nothing certifies.
-    candidate, multipliers, gap = _active_set(
-        _tv_partition(samples, sigma, lam), samples, sigma, cache.sigma_inv, lam)
-    if candidate is None:
-        return None
-    state = SolverState(z=candidate, s=np.diff(candidate, axis=0),
-                        u=(samples - candidate) @ cache.sigma_inv / cache.rho,
-                        t=-multipliers / cache.rho)
-    return state, gap
+def _fixed_point(candidate, multipliers, samples, cache):
+    # The engine's exact fixed point at a certified x* with multipliers P:
+    # z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and t = -P / rho.
+    # Then u + D^T t = 0, so the projection returns (z, s), and P in
+    # lam * sign(Dx*) makes both prox maps return (z, s) too: one
+    # iteration meets the residual test.
+    return SolverState(z=candidate, s=np.diff(candidate, axis=0),
+                       u=(samples - candidate) @ cache.sigma_inv / cache.rho,
+                       t=-multipliers / cache.rho)
 
 
 def _tv_partition(samples, sigma, lam):
@@ -497,26 +488,15 @@ def variance_filter(data, spec, config=None):
     # only non-finite entries are rejected.
     precision = linalg.symmetrize(report.x_star.reshape(n_samples, dim, dim),
                                   tol=np.inf)
-    try:
-        np.linalg.cholesky(precision)
-    except np.linalg.LinAlgError as exc:
-        bad = _first_not_positive_definite(precision)
+    bad = np.flatnonzero(np.linalg.eigvalsh(precision)[:, 0] <= 0.0)
+    if bad.size:
         raise NumericalFailureError(
             "inverse-covariance estimate at block %d is not positive "
-            "definite; tighten tolerances" % bad,
-            block_index=bad,
-        ) from exc
+            "definite; tighten tolerances" % bad[0],
+            block_index=int(bad[0]),
+        )
     covariance = linalg.symmetrize(np.linalg.inv(precision), tol=np.inf)
     return VarianceEstimate(precision=precision, covariance=covariance), report
-
-
-def _first_not_positive_definite(mats):
-    # The batched factorization only reports that some matrix failed.
-    for i, mat in enumerate(mats):
-        try:
-            np.linalg.cholesky(mat)
-        except np.linalg.LinAlgError:
-            return i
 
 
 def _build_variance_problem(grams, spec):

@@ -238,6 +238,19 @@ class TestCsvWriters:
         assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
 
 
+def record_configs(monkeypatch):
+    # The solver configs cli.mean_filter is handed.
+    configs = []
+    mean_filter = cli.mean_filter
+
+    def recorded(data, spec, config):
+        configs.append(config)
+        return mean_filter(data, spec, config)
+
+    monkeypatch.setattr(cli, "mean_filter", recorded)
+    return configs
+
+
 class TestMeanCommand:
     def test_constant_input(self, tmp_path, capsys):
         data = write_lines(tmp_path / "in.csv", "2.5\n2.5\n2.5\n")
@@ -333,6 +346,22 @@ class TestMeanCommand:
         captured = capsys.readouterr()
         assert captured.out.startswith("segments: ")
         assert captured.err == ""
+
+    def test_no_solver_flag_keeps_solver_defaults(self, tmp_path, monkeypatch):
+        configs = record_configs(monkeypatch)
+        data = write_lines(tmp_path / "in.csv", "0\n1\n4\n4.2\n-1\n")
+        code, _, _ = run_mean(tmp_path, data, "--lambda", "0.8")
+        assert code == cli.EXIT_OK
+        assert configs == [tvadmm.SolverConfig()]
+
+    def test_solver_flags_reach_the_config(self, tmp_path, monkeypatch):
+        configs = record_configs(monkeypatch)
+        data = write_lines(tmp_path / "in.csv", "0\n1\n4\n4.2\n-1\n")
+        run_mean(tmp_path, data, "--lambda", "0.8", "--rho", "2", "--alpha",
+                 "1.5", "--eps-abs", "1e-6", "--eps-rel", "1e-5",
+                 "--max-iter", "77")
+        assert configs == [tvadmm.SolverConfig(rho=2.0, alpha=1.5, eps_abs=1e-6,
+                                               eps_rel=1e-5, max_iter=77)]
 
     def test_rejected_certificate_warns(self, tmp_path, capsys, monkeypatch):
         # One spurious jump, at the first difference the start's first

@@ -63,6 +63,35 @@ def count_partition_solves(monkeypatch):
     return tried
 
 
+def fail_start(monkeypatch):
+    # The mean filter's first filters._active_set run, the start, returns
+    # no candidate without solving a partition, so the solve iterates
+    # from zero and the polish runs as it would after a failed start.
+    active_set = filters._active_set
+    calls = []
+
+    def failing_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            return None, None, np.inf
+        return active_set(*args)
+
+    monkeypatch.setattr(filters, "_active_set", failing_first)
+
+
+def capture_starts(monkeypatch):
+    # The initial state of each filters.solve call (None for a cold solve).
+    solve = filters.solve
+    starts = []
+
+    def recorded(problem, config=None, initial=None, **kwargs):
+        starts.append(initial)
+        return solve(problem, config, initial=initial, **kwargs)
+
+    monkeypatch.setattr(filters, "solve", recorded)
+    return starts
+
+
 class TestDefaultRho:
     """rho=None hands the filter's weight to both prox maps, or 1 when the
     weight is 0; an explicit rho is used as given."""
@@ -249,7 +278,7 @@ class TestPolish:
         # iterate (the segments() default tolerance); the difference
         # prox's exact zeros, the polish's first partition, keep it. The
         # start finds nothing, so the solve iterates from zero.
-        monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
+        fail_start(monkeypatch)
         estimates, report = self.check_diagonal_polish(59, 120)
         iterate = report.state.z
         spread = iterate.max(axis=0) - iterate.min(axis=0)
@@ -263,7 +292,7 @@ class TestPolish:
         # give a partition whose candidate fails the certificate; the
         # candidates' violations pick partitions until one certifies. The
         # start finds nothing, so the solve iterates from zero.
-        monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
+        fail_start(monkeypatch)
         tried = count_partition_solves(monkeypatch)
         self.check_diagonal_polish(5, 200)
         assert len(tried) > 1
@@ -409,14 +438,15 @@ class TestCertifiedStart:
                 assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
 
     @pytest.mark.parametrize("kind", ["identity", "correlated", "scalar group"])
-    def test_start_is_an_engine_fixed_point(self, kind):
+    def test_start_is_an_engine_fixed_point(self, monkeypatch, kind):
         # One iteration with tolerances it cannot meet moves no array of
         # the start by more than rounding.
         data, spec = random_mean_case(7, kind)
+        starts = capture_starts(monkeypatch)
+        mean_filter(data, spec)
+        start = starts[0]
+        assert start is not None
         cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
-        certified = filters._certified_start(data, spec.sigma, cache, spec.lam)
-        assert certified is not None
-        start, _ = certified
         problem = filters._build_mean_problem(data, cache, spec.lam, spec.penalty)
         config = SolverConfig(rho=spec.lam, eps_abs=1e-300, eps_rel=1e-300,
                               max_iter=1)
@@ -427,25 +457,45 @@ class TestCertifiedStart:
 
     @pytest.mark.parametrize("kind", ["diagonal", "correlated", "scalar group"])
     def test_failed_start_is_the_cold_solve_and_polish(self, monkeypatch, kind):
+        # The expected report: the cold solve, then the active set from the
+        # difference prox's signs at its final iterate, whose certified
+        # candidate replaces the iterate.
         data, spec = random_mean_case(8, kind)
-        monkeypatch.setattr(filters, "_certified_start", lambda *args: None)
-        _, report = mean_filter(data, spec)
         cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
         problem = filters._build_mean_problem(data, cache, spec.lam, spec.penalty)
         cold = admm.solve(problem, SolverConfig(rho=spec.lam))
-        expected = filters._polish_mean(cold, problem, data, spec.sigma, cache,
-                                        spec.lam)
+        signs = np.sign(problem.psi_prox_batch(cold.state.s - cold.state.t,
+                                               cache.rho))
+        candidate, _, gap = filters._active_set(signs, data, spec.sigma,
+                                                cache.sigma_inv, spec.lam)
+        assert candidate is not None
+        trace = np.append(cold.objective_trace, problem.objective(
+            candidate, np.diff(candidate, axis=0)))
+        fail_start(monkeypatch)
+        _, report = mean_filter(data, spec)
         assert cold.iterations > 1
         assert (report.iterations, report.converged, report.polished,
                 report.certificate_gap) == (
-            expected.iterations, expected.converged, expected.polished,
-            expected.certificate_gap)
-        assert np.array_equal(report.history, expected.history)
-        assert np.array_equal(report.objective_trace, expected.objective_trace)
-        assert np.array_equal(report.x_star, expected.x_star)
+            cold.iterations, cold.converged, True, gap)
+        assert np.array_equal(report.history, cold.history)
+        assert np.array_equal(report.objective_trace, trace)
+        assert np.array_equal(report.x_star, candidate)
         for name in ("z", "s", "u", "t"):
             assert np.array_equal(getattr(report.state, name),
-                                  getattr(expected.state, name)), name
+                                  getattr(cold.state, name)), name
+
+    def test_verified_by_exactly_one_iteration(self):
+        # At this scale rounding makes the verifying iteration fail the
+        # dual residual test. The certified optimum is still returned
+        # after that one iteration, not iterated from to max_iter.
+        data = 1e12 * generate_piecewise_data(63)[0]
+        lam = 0.1 * lambda_max_mean(data, penalty=Penalty.ELEMENTWISE)
+        estimates, report = mean_filter(
+            data, MeanFilterSpec(lam=lam, penalty=Penalty.ELEMENTWISE))
+        assert report.iterations == 1 and report.history.size == 1
+        assert report.polished and not report.converged
+        oracle = fused_lasso_dual(data[:, 0], lam)
+        assert np.abs(estimates[:, 0] - oracle).max() <= 1e-7 * np.abs(data).max()
 
 
 class TestFirstPartition:
@@ -488,24 +538,27 @@ class TestFirstPartition:
         data, spec = random_mean_case(9, "diagonal")
         cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
         empty = np.zeros_like(data[1:])
-        monkeypatch.setattr(filters, "_tv_partition", lambda *args: empty)
-        start, gap = filters._certified_start(data, spec.sigma, cache, spec.lam)
         candidate, multipliers, expected_gap = filters._active_set(
             empty, data, spec.sigma, cache.sigma_inv, spec.lam)
+        monkeypatch.setattr(filters, "_tv_partition", lambda *args: empty)
+        starts = capture_starts(monkeypatch)
+        _, report = mean_filter(data, spec)
+        start, gap = starts[0], report.certificate_gap
         assert candidate is not None and gap == expected_gap
         assert np.array_equal(start.z, candidate)
         assert np.array_equal(start.t, -multipliers / cache.rho)
 
     def test_flipped_sign_still_certifies(self, monkeypatch):
         data, spec = random_mean_case(9, "diagonal")
-        cache = prox.gaussian_prox_cache(spec.sigma, data, spec.lam)
         exact = filters._tv_partition(data, spec.sigma, spec.lam)
         (first, *_), (component, *_) = np.nonzero(exact)
         flipped = exact.copy()
         flipped[first, component] *= -1.0
         monkeypatch.setattr(filters, "_tv_partition", lambda *args: flipped)
         tried = count_partition_solves(monkeypatch)
-        start, _ = filters._certified_start(data, spec.sigma, cache, spec.lam)
+        starts = capture_starts(monkeypatch)
+        mean_filter(data, spec)
+        start = starts[0]
         assert len(tried) > 1
         assert np.array_equal(np.sign(np.diff(start.z, axis=0)), exact)
 
