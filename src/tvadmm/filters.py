@@ -13,9 +13,9 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg.lapack import dpbsv
 
 from . import linalg, prox
+from ._lapack import dpbsv
 from .admm import ChainProblem, SolverConfig, SolverState, solve
 from .exceptions import (NumericalFailureError, UnboundedProblemError,
                          nonnegative_finite, whole_count)

@@ -10,8 +10,8 @@ for one small matrix; the factorization reports the pivot that failed.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
+from ._lapack import dpotrf, dpotrs
 from .exceptions import NotPositiveDefiniteError, NumericalFailureError
 
 # Inputs with max |A - A^T| above this are rejected rather than silently

@@ -16,8 +16,8 @@ over all d columns, O(N d) time.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpttrf, dpttrs
 
+from ._lapack import dpttrf, dpttrs
 from .exceptions import whole_count
 
 

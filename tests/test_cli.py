@@ -584,13 +584,16 @@ def test_no_subcommand_is_input_error(capsys):
     assert "usage" in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_sparse_unloaded():
-    # A fresh interpreter, since this one may have loaded scipy.sparse
-    # for other tests.
+@pytest.mark.parametrize("package", ["scipy.sparse", "scipy.linalg"])
+def test_import_leaves_scipy_unloaded(package):
+    # A fresh interpreter, since this one may have loaded either package
+    # for other tests. scipy.linalg costs about 0.3 s to import; the
+    # package loads its LAPACK extension without it (tvadmm._lapack), and
+    # a scipy that moves that extension would fall back to it silently.
     env = dict(os.environ,
                PYTHONPATH=str(Path(tvadmm.__file__).resolve().parents[1]))
     probe = ("import sys, tvadmm, tvadmm.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))")
+             "print(sorted(m for m in sys.modules if m.startswith(%r)))" % package)
     result = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                             capture_output=True, text=True, timeout=120)
     assert result.stdout.strip() == "[]"

@@ -1,8 +1,14 @@
+import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tvadmm
 from tvadmm import linalg
 from tvadmm.exceptions import NotPositiveDefiniteError, NumericalFailureError
 
@@ -184,3 +190,73 @@ def test_spd_inverse_and_logdet():
     # A stack of factors gives the sum of the log-determinants.
     stack = np.stack([factor, 2.0 * np.eye(5)])
     assert abs(linalg.spd_logdet(stack) - (ref + 5.0 * np.log(4.0))) < 1e-10
+
+
+# Run in a fresh interpreter: prints where tvadmm._lapack took its
+# routines from and a digest of one projection, one Cholesky factor and
+# solve and one mean filter (whose start solves with dpbsv), computed
+# before and after scipy.linalg is imported. With an argument, scipy's
+# folder is taken to be that directory, which holds no _flapack.
+_LAPACK_PROBE = """
+import hashlib, json, os, sys
+import numpy as np
+import scipy
+if len(sys.argv) > 1:
+    scipy.__file__ = os.path.join(sys.argv[1], "__init__.py")
+import tvadmm
+from tvadmm import _lapack, linalg
+from tvadmm.cli import generate_piecewise_data
+from tvadmm.projection import chain_factor, project
+
+def sha(*parts):
+    return hashlib.sha256(b"".join(
+        p if isinstance(p, bytes) else np.ascontiguousarray(p).tobytes()
+        for p in parts)).hexdigest()
+
+def digests():
+    rng = np.random.default_rng(3)
+    chol = chain_factor(9)
+    z, s = project(chol, rng.normal(size=(9, 2)), rng.normal(size=(8, 2)))
+    m = rng.normal(size=(3, 3))
+    factor = linalg.spd_factor(m @ m.T + np.eye(3))
+    x = linalg.spd_solve(factor, rng.normal(size=(3, 2)))
+    data, _, _ = generate_piecewise_data(63)
+    spec = tvadmm.MeanFilterSpec(lam=0.1 * tvadmm.lambda_max_mean(data))
+    est, rep = tvadmm.mean_filter(data, spec)
+    fields = repr((rep.iterations, rep.converged, rep.polished,
+                   rep.certificate_gap)).encode()
+    return {"project": sha(chol.band, z, s), "spd": sha(factor, x),
+            "mean": sha(est, rep.history, rep.objective_trace, fields)}
+
+loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
+before = digests()
+from scipy.linalg import lapack
+print(json.dumps({
+    "source": _lapack._source.__name__,
+    "scipy_linalg_at_import": loaded,
+    "shared": [getattr(_lapack, n) is getattr(lapack, n) for n in _lapack._ROUTINES],
+    "before": before, "after": digests()}))
+"""
+
+
+def _probe_lapack(*args):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(tvadmm.__file__).resolve().parents[1]))
+    result = subprocess.run([sys.executable, "-c", _LAPACK_PROBE, *map(str, args)],
+                            env=env, check=True, capture_output=True, text=True,
+                            timeout=120)
+    return json.loads(result.stdout)
+
+
+def test_lapack_fallback_gives_identical_results(tmp_path):
+    direct = _probe_lapack()
+    assert direct["source"] == "tvadmm._flapack"
+    assert direct["scipy_linalg_at_import"] == []
+    assert not any(direct["shared"])
+    # The direct load fails, so the routines are scipy.linalg.lapack's own.
+    fallback = _probe_lapack(tmp_path)
+    assert fallback["source"] == "scipy.linalg.lapack"
+    assert all(fallback["shared"])
+    for run in (direct, fallback):
+        assert run["after"] == run["before"]
+    assert fallback["before"] == direct["before"]
