@@ -23,6 +23,10 @@ from .exceptions import (NumericalFailureError, UnboundedProblemError,
 # Sign patterns each active-set attempt tries before it gives up.
 _MAX_PATTERNS = 50
 
+# Steps the TV pass takes one sample at a time in each open segment
+# before it carries the segment on with array scans.
+_STEP_LIMIT = 128
+
 
 class Penalty(str, Enum):
     """Shape of the coupling penalty on consecutive differences.
@@ -112,20 +116,23 @@ def mean_filter(data, spec, config=None):
 
     The estimate comes from one active-set loop: a segment partition and
     jump signs define an equality-constrained quadratic problem, solved
-    exactly by one banded LAPACK solve whatever the noise covariance,
-    and each candidate that fails the optimality conditions picks the
-    next partition from its own violations (a primal-dual active-set
-    step), until one certifies, a partition repeats or 50 have been
-    tried. The loop runs before the iteration and, when that finds
-    nothing, once more after it:
+    exactly (in closed form per segment when sigma is diagonal, by one
+    banded LAPACK solve when it is correlated), and each candidate that
+    fails the optimality conditions picks the next partition from its
+    own violations (a primal-dual active-set step), until one
+    certifies, a partition repeats or 50 have been tried. The loop runs
+    before the iteration and, when that finds nothing, once more after
+    it:
 
     - the start takes each component's exact 1-D total variation
       partition with weight ``sigma[c, c] * lam`` (Condat's direct
-      algorithm), which is the optimum's partition when sigma is
-      diagonal and a first guess otherwise. A certified optimum x* with
-      multipliers P starts the iteration at its exact fixed point,
-      z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and t = -P / rho,
-      and exactly one iteration verifies it (``report.iterations == 1``,
+      algorithm, stepping one sample at a time through short segments
+      and scanning long ones with array operations), which is the
+      optimum's partition when sigma is diagonal and a first guess
+      otherwise. A certified optimum x* with multipliers P starts the
+      iteration at its exact fixed point, z = x*, s = Dx*,
+      u = sigma^{-1} (y - x*) / rho and t = -P / rho, and exactly one
+      iteration verifies it (``report.iterations == 1``,
       one ``history`` row). That iteration meets the unchanged residual
       test unless rounding at an extreme data scale breaks it, in which
       case ``report.converged`` is False; x* is returned either way;
@@ -209,18 +216,24 @@ def _tv_partition(samples, sigma, lam):
     # take and the dual's value (umin, umax) at each bound; when one
     # leaves [-w, w] the segment closes at that bound, at the last sample
     # where its dual was tight. Only each segment's end and level are
-    # recorded.
+    # recorded. The loop takes the first _STEP_LIMIT steps of each open
+    # segment one sample at a time, which is cheapest for short
+    # segments; a longer one is carried by _scan_open_segment to the
+    # sample before it closes, and the loop takes the closing step.
     signs = np.zeros_like(samples[1:])
+    limit = _STEP_LIMIT
     for c in range(samples.shape[1]):
-        y = samples[:, c].tolist()
+        column = samples[:, c]
+        y = column.tolist()
         w = float(sigma[c, c]) * lam
         last = len(y) - 1
         ends, levels = [], []
         k = k0 = kminus = kplus = 0
         umin, umax = w, -w
         vmin, vmax = y[0] - w, y[0] + w
+        stop = min(last, limit)
         while True:
-            while k < last:
+            while k < stop:
                 following = y[k + 1]
                 umin += following - vmin
                 if umin < -w:
@@ -230,6 +243,7 @@ def _tv_partition(samples, sigma, lam):
                     vmin = y[k]
                     vmax = vmin + 2.0 * w
                     umin, umax = w, -w
+                    stop = min(last, k0 + limit)
                     continue
                 umax += following - vmax
                 if umax > w:
@@ -239,6 +253,7 @@ def _tv_partition(samples, sigma, lam):
                     vmax = y[k]
                     vmin = vmax - 2.0 * w
                     umin, umax = w, -w
+                    stop = min(last, k0 + limit)
                     continue
                 k += 1
                 if umin >= w:
@@ -249,6 +264,11 @@ def _tv_partition(samples, sigma, lam):
                     kplus = k
                     vmax += (umax + w) / (k - k0 + 1)
                     umax = -w
+            if k < last:
+                k, umin, umax, vmin, vmax, kminus, kplus = _scan_open_segment(
+                    column, w, k, k0, umin, vmin, vmax, kminus, kplus)
+                stop = min(last, k + 1)
+                continue
             # The right end: the open segment's dual must end at 0.
             if umin < 0.0:
                 ends.append(kminus)
@@ -266,8 +286,57 @@ def _tv_partition(samples, sigma, lam):
                 ends.append(k)
                 levels.append(vmin + umin / (k - k0 + 1))
                 break
+            stop = min(last, k0 + limit)
         signs[ends[:-1], c] = np.sign(np.diff(levels))
     return signs
+
+
+def _scan_open_segment(y, w, k, k0, umin, vmin, vmax, kminus, kplus):
+    # _tv_partition's loop over the open segment y[k0..k], run as array
+    # scans. Returns the loop's state (k, umin, umax, vmin, vmax, kminus,
+    # kplus) after the last step that leaves the segment open, which is
+    # at the series end when no step closes it. With n = j - k0 + 1
+    # samples at sample j, T = umin + n * vmin = umax + n * vmax is the
+    # segment's sum plus the dual it started with. The loop's updates
+    # set vmin = max(vmin, (T - w) / n) and vmax = min(vmax, (T + w) / n),
+    # moving kminus or kplus to j where the new term is the bound (ties
+    # go to the later sample). A step closes the segment when the bound
+    # before it lies beyond the other side, vmin > (T + w) / n or
+    # vmax < (T - w) / n, which holds exactly when the updated bound
+    # does. The first chunk covers twice the segment so far (at least
+    # _STEP_LIMIT samples); each further one is four times longer.
+    last = y.size - 1
+    n = k - k0 + 1
+    total = umin + n * vmin
+    size = max(_STEP_LIMIT, 2 * n)
+    while k < last:
+        sums = np.cumsum(y[k + 1:min(last, k + size) + 1])
+        counts = np.arange(n + 1.0, n + 1.0 + sums.size)
+        cmin = (sums + (total - w)) / counts
+        cmax = (sums + (total + w)) / counts
+        lower = np.maximum.accumulate(cmin)
+        np.maximum(lower, vmin, out=lower)
+        upper = np.minimum.accumulate(cmax)
+        np.minimum(upper, vmax, out=upper)
+        closes = (lower > cmax) | (upper < cmin)
+        steps = int(closes.argmax()) if closes.any() else sums.size
+        if steps:
+            # The last sample where each bound took its final value.
+            tight = cmin[steps - 1::-1] == lower[steps - 1]
+            if tight.any():
+                kminus = k + steps - int(tight.argmax())
+            tight = cmax[steps - 1::-1] == upper[steps - 1]
+            if tight.any():
+                kplus = k + steps - int(tight.argmax())
+            k += steps
+            n += steps
+            total += float(sums[steps - 1])
+            vmin = float(lower[steps - 1])
+            vmax = float(upper[steps - 1])
+        if steps < sums.size:
+            break
+        size *= 4
+    return k, total - n * vmin, total - n * vmax, vmin, vmax, kminus, kplus
 
 
 def _active_set(signs, samples, sigma, sigma_inv, lam):
@@ -310,14 +379,34 @@ def _active_set(signs, samples, sigma, sigma_inv, lam):
 def _solve_on_partition(signs, samples, sigma, lam):
     # The candidate whose differences are zero wherever signs, the
     # (N - 1, n) jump signs, is 0. Its multipliers P (one row per
-    # difference) give x = y + (P_j - P_{j-1}) sigma, with P_0 = P_N = 0.
-    # P is fixed to lam * signs at the jumps (A); the free ones (I) make
-    # r vanish inside the segments:
+    # difference) give x = y + (P_j - P_{j-1}) sigma, with P_0 = P_N = 0,
+    # and P is fixed to lam * signs at the jumps (A).
+    #
+    # A diagonal sigma (the only kind with one component) decouples the
+    # components: summing x over a segment telescopes to its sum of y
+    # plus sigma[c, c] * lam * (s_out - s_in) (its turn), with s_out and
+    # s_in the signs of the jumps leaving and entering it (0 at the
+    # series ends), so each level is that over the segment's length.
+    #
+    # Otherwise the free multipliers (I) make r vanish inside the
+    # segments:
     #     ((D D^T) (x) sigma)_II P_I = (Dy)_I - (((D D^T) (x) sigma) P_A)_I.
     # In (k, c) row-major order this is banded SPD with half-bandwidth
     # 2n - 1; rows and columns of A become identity rows holding P_A.
     # Returns None when LAPACK finds the system not positive definite.
     n_samples, dim = samples.shape
+    if np.count_nonzero(sigma) == dim:
+        candidate = np.empty_like(samples)
+        for c in range(dim):
+            cuts = np.flatnonzero(signs[:, c])
+            starts = np.concatenate(([0], cuts + 1))
+            lengths = np.diff(starts, append=n_samples)
+            turns = np.diff(signs[cuts, c], prepend=0.0, append=0.0)
+            levels = (np.add.reduceat(samples[:, c], starts)
+                      + sigma[c, c] * lam * turns) / lengths
+            candidate[:, c] = np.repeat(levels, lengths)
+        return candidate
+
     jumps = signs != 0.0
     edge = np.zeros((1, dim))
 

@@ -498,25 +498,28 @@ class TestCertifiedStart:
         assert np.abs(estimates[:, 0] - oracle).max() <= 1e-7 * np.abs(data).max()
 
 
+EDGE_CASES = pytest.mark.parametrize("data, lam_frac", [
+    (np.array([1.5]), 0.5),
+    (np.array([0.0, 2.0]), 0.5),
+    (np.array([0.0, 2.0]), 1.5),
+    (np.random.default_rng(30).normal(size=40), 0.0),
+    (np.random.default_rng(31).normal(size=40), 1.0),
+    (np.random.default_rng(32).normal(size=40), 3.0),
+    (np.full(12, 2.5), 0.5),
+    (np.repeat([1.0, 3.0, 1.0, 2.0], 5), 0.0),
+    (np.repeat([1.0, 3.0, 1.0, 2.0], 5), 0.1),
+    (1e8 * np.random.default_rng(33).normal(size=40), 0.1),
+], ids=["N=1", "N=2", "N=2 above", "lambda=0", "at lambda_max",
+        "above lambda_max", "constant", "ties lambda=0", "ties",
+        "scale 1e8"])
+
+
 class TestFirstPartition:
     """The start's first partition is each component's exact 1-D TV
     partition, so a scalar or diagonal-sigma problem certifies on the one
-    banded solve of that partition."""
+    solve of that partition."""
 
-    @pytest.mark.parametrize("data, lam_frac", [
-        (np.array([1.5]), 0.5),
-        (np.array([0.0, 2.0]), 0.5),
-        (np.array([0.0, 2.0]), 1.5),
-        (np.random.default_rng(30).normal(size=40), 0.0),
-        (np.random.default_rng(31).normal(size=40), 1.0),
-        (np.random.default_rng(32).normal(size=40), 3.0),
-        (np.full(12, 2.5), 0.5),
-        (np.repeat([1.0, 3.0, 1.0, 2.0], 5), 0.0),
-        (np.repeat([1.0, 3.0, 1.0, 2.0], 5), 0.1),
-        (1e8 * np.random.default_rng(33).normal(size=40), 0.1),
-    ], ids=["N=1", "N=2", "N=2 above", "lambda=0", "at lambda_max",
-            "above lambda_max", "constant", "ties lambda=0", "ties",
-            "scale 1e8"])
+    @EDGE_CASES
     def test_edge_cases(self, monkeypatch, data, lam_frac):
         # lam_frac scales lambda_max, or 1 when that is 0 (one sample or
         # constant data).
@@ -533,6 +536,13 @@ class TestFirstPartition:
         # With one sample or lam = 0 the optimum is the data itself.
         expected = data if data.size == 1 or lam == 0.0 else fused_lasso_dual(data, lam)
         assert np.abs(estimates - expected).max() <= 1e-7 * scale
+
+    @EDGE_CASES
+    def test_edge_cases_scanned(self, monkeypatch, data, lam_frac):
+        # The same cases with every open segment carried by the array
+        # scan after its first step.
+        monkeypatch.setattr(filters, "_STEP_LIMIT", 1)
+        self.test_edge_cases(monkeypatch, data, lam_frac)
 
     def test_empty_first_partition_is_the_plain_active_set(self, monkeypatch):
         data, spec = random_mean_case(9, "diagonal")
@@ -561,6 +571,122 @@ class TestFirstPartition:
         start = starts[0]
         assert len(tried) > 1
         assert np.array_equal(np.sign(np.diff(start.z, axis=0)), exact)
+
+
+def tv_signs(monkeypatch, data, lam, step_limit):
+    # filters._tv_partition of a scalar series with at most step_limit
+    # loop steps in each open segment before the array scan takes over.
+    monkeypatch.setattr(filters, "_STEP_LIMIT", step_limit)
+    return filters._tv_partition(np.asarray(data, dtype=float)[:, None],
+                                 np.eye(1), lam)
+
+
+class TestTvScan:
+    """The TV pass continues each segment longer than _STEP_LIMIT with
+    array scans; they run the same algorithm as the one-sample loop."""
+
+    @pytest.mark.parametrize("n_samples, lam_fracs", [
+        (2000, (0.001, 0.01, 0.1, 0.5, 0.9, 1.1)),
+        (20000, (0.001, 0.01, 0.1, 0.5, 1.1)),
+        (200000, (0.001, 0.1)),
+    ])
+    @pytest.mark.parametrize("seed", [63, 64])
+    def test_scan_matches_loop(self, monkeypatch, n_samples, lam_fracs, seed):
+        # Five segments of at least N / 20 samples each, so the scan
+        # carries long segments and, at small weights, the loop many
+        # short ones; a step limit of 1 scans every segment, one of N
+        # scans none.
+        data = generate_piecewise_data(seed, n_samples=n_samples)[0][:, 0]
+        lam_max = lambda_max_mean(data)
+        for lam_frac in lam_fracs:
+            lam = lam_frac * lam_max
+            looped = tv_signs(monkeypatch, data, lam, n_samples)
+            assert looped.any() == (lam_frac < 1.0)
+            assert np.array_equal(tv_signs(monkeypatch, data, lam, 1), looped), lam_frac
+
+    @pytest.mark.parametrize("data, lam", [
+        (np.random.default_rng(34).normal(size=500), 0.0),
+        (np.repeat([1.0, 3.0, 1.0, 2.0], 300), 0.0),
+        (np.full(700, 2.5), 0.0),
+        (np.full(700, 2.5), 1.0),
+        (np.array([1.5]), 1.0),
+        (np.array([0.0, 2.0]), 0.5),
+        (np.array([0.0, 2.0]), 1.5),
+        (np.array([2.0, 0.0]), 0.5),
+        (np.array([2.0, 2.0]), 0.5),
+    ], ids=["lambda=0", "ties lambda=0", "constant lambda=0", "constant",
+            "N=1", "N=2", "N=2 above", "N=2 down", "N=2 tie"])
+    def test_edge_cases_match_loop(self, monkeypatch, data, lam):
+        looped = tv_signs(monkeypatch, data, lam, data.size)
+        for step_limit in (1, 2):
+            assert np.array_equal(tv_signs(monkeypatch, data, lam, step_limit),
+                                  looped)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e4, 1e8, 1e12])
+    @pytest.mark.parametrize("lam_frac", [0.001, 0.1, 0.7])
+    def test_rounded_data_certifies(self, monkeypatch, scale, lam_frac):
+        # Data rounded to 0.1 before scaling is full of ties, where the
+        # scan's and the loop's rounding may pick different partitions;
+        # the scanned start must still certify within a few solves.
+        data = scale * np.round(generate_piecewise_data(65, n_samples=3000)[0], 1)
+        lam = lam_frac * lambda_max_mean(data)
+        monkeypatch.setattr(filters, "_STEP_LIMIT", 1)
+        tried = count_partition_solves(monkeypatch)
+        estimates, report = mean_filter(data, MeanFilterSpec(lam=lam))
+        assert report.polished and report.iterations == 1
+        assert len(tried) <= 4
+
+
+class TestDiagonalLevels:
+    """With a diagonal sigma the partition solve takes each segment's
+    level in closed form; a correlated sigma keeps the banded solve."""
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("pattern", ["random", "ends", "all", "none"])
+    def test_levels_match_dense_kkt(self, pattern, dim, scale):
+        # Sign patterns that need not be optimal: random jumps, jumps at
+        # the first and last difference only, every difference a jump,
+        # and no jump.
+        rng = np.random.default_rng(dim)
+        n_samples = 30
+        sigma = np.diag(rng.uniform(0.5, 2.0, size=dim))
+        samples = scale * rng.normal(size=(n_samples, dim))
+        shape = (n_samples - 1, dim)
+        jumps = {
+            "random": rng.uniform(size=shape) < 0.3,
+            "ends": np.isin(np.arange(n_samples - 1), [0, n_samples - 2])[:, None]
+                    & np.ones(shape, dtype=bool),
+            "all": np.ones(shape, dtype=bool),
+            "none": np.zeros(shape, dtype=bool),
+        }[pattern]
+        signs = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
+        lam = 0.3 * scale
+        candidate = _solve_on_partition(np.where(jumps, signs, 0.0), samples,
+                                        sigma, lam)
+        expected = partition_optimum(samples, sigma, lam, jumps, signs)
+        assert np.abs(candidate - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert (np.diff(candidate, axis=0)[~jumps] == 0.0).all()
+
+    @pytest.mark.parametrize("sigma, banded_solves", [
+        (np.diag([1.0, 2.0]), 0),
+        (np.array([[1.0, 0.5], [0.5, 2.0]]), 1),
+    ], ids=["diagonal", "correlated"])
+    def test_only_correlated_sigma_runs_the_banded_solve(self, monkeypatch,
+                                                         sigma, banded_solves):
+        calls = []
+        dpbsv = filters.dpbsv
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dpbsv(*args, **kwargs)
+
+        monkeypatch.setattr(filters, "dpbsv", counted)
+        rng = np.random.default_rng(35)
+        signs = np.where(rng.uniform(size=(19, 2)) < 0.2, 1.0, 0.0)
+        assert _solve_on_partition(signs, rng.normal(size=(20, 2)), sigma,
+                                   0.5) is not None
+        assert len(calls) == banded_solves
 
 
 class TestLambdaMax:
