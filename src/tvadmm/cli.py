@@ -16,6 +16,7 @@ certificate still exits 0, with a warning on standard error.
 """
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -41,10 +42,15 @@ EXIT_NOT_CONVERGED = 2
 EXIT_UNBOUNDED = 3
 
 _FLOAT_FMT = "%.17g"
-# Rows per formatted write in the CSV writers: big enough to amortize
-# the call, small enough that a block's floats and text stay a few
-# hundred kB and peak memory does not grow.
+# Rows per block in which the CSV writers look for runs of equal rows:
+# big enough to amortize the numpy calls, small enough that a block's
+# floats and text stay a few hundred kB and peak memory does not grow.
 _WRITE_BLOCK_ROWS = 512
+# Values per call of the %.17g kernel (_g17_text): its temporaries stay
+# near 1 MB. Below _G17_MIN_VALUES its numpy calls cost more than the
+# % formatting they replace.
+_G17_BLOCK_VALUES = 4096
+_G17_MIN_VALUES = 256
 # generate_piecewise_data's level range and change-point draw limit.
 _LEVEL_RANGE = (-5.0, 5.0)
 _MAX_ATTEMPTS = 100000
@@ -119,7 +125,8 @@ def write_matrix_csv(path, arr):
     """Headerless CSV of ``arr``, as ``np.savetxt(fmt="%.17g", delimiter=",")``."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, arr, ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n")
+        _write_rows(fh, arr, ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n",
+                    g17=True)
 
 
 def write_history_csv(path, history):
@@ -133,27 +140,178 @@ def write_history_csv(path, history):
         _write_rows(fh, table, "%d" + ("," + _FLOAT_FMT) * (len(names) - 1) + "\n")
 
 
-def _write_rows(fh, arr, row_fmt):
-    # One write per block of rows: the text matches np.savetxt's
-    # row-at-a-time output, and memory stays flat. Piecewise-constant
-    # output (synth truth, mean estimates) is mostly long runs of equal
-    # rows, so each run of bit-identical rows in a block is formatted
-    # once and its text repeated. Bits, not ==, decide equality: -0.0
-    # and 0.0 print differently.
+def _write_rows(fh, arr, row_fmt, g17=False):
+    # The text matches np.savetxt's row-at-a-time output, and memory
+    # stays flat. Piecewise-constant output (synth truth, mean
+    # estimates) is mostly long runs of equal rows, so a block of them
+    # is written run by run, each run's row formatted once and its text
+    # repeated. Bits, not ==, decide equality: -0.0 and 0.0 print
+    # differently. Blocks of mostly distinct rows are written together
+    # by _write_distinct; ``g17`` says that row_fmt is %.17g throughout.
+    pending = 0  # first row not yet written
     for start in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
         block = np.ascontiguousarray(arr[start:start + _WRITE_BLOCK_ROWS])
         bits = block.view(np.uint64)
         firsts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
         n_rows = block.shape[0]
         if 2 * (len(firsts) + 1) > n_rows:
-            # Mostly distinct rows: one format call for the whole block.
-            fh.write((row_fmt * n_rows) % tuple(block.ravel().tolist()))
             continue
+        _write_distinct(fh, arr[pending:start], row_fmt, g17)
+        pending = start + n_rows
         bounds = [0, *firsts.tolist(), n_rows]
         fh.write("".join(
             (row_fmt % tuple(row)) * (stop - first)
             for row, first, stop in zip(block[bounds[:-1]].tolist(),
                                         bounds, bounds[1:])))
+    _write_distinct(fh, arr[pending:], row_fmt, g17)
+
+
+def _write_distinct(fh, rows, row_fmt, g17):
+    # One write per chunk of about _G17_BLOCK_VALUES values, through the
+    # vectorized kernel where it applies and % formatting elsewhere.
+    step = max(1, _G17_BLOCK_VALUES // max(1, rows.shape[1]))
+    for start in range(0, rows.shape[0], step):
+        chunk = rows[start:start + step]
+        text = None
+        if g17 and chunk.size >= _G17_MIN_VALUES:
+            text = _g17_text(chunk)
+        if text is None:
+            text = (row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist())
+        fh.write(text)
+
+
+# The %.17g kernel. The 17 significant digits of |x| are the integer
+# nearest the exact product |x| * 10**(16 - X), X being x's decimal
+# exponent. A double times an exact power of ten is exact as a sum of
+# two doubles (Dekker, Numer. Math. 18, 1971), so no digit comes from a
+# rounded product. The digits are laid out as 24 ASCII bytes, "0000",
+# "000" and the leading digit at byte 7, then four groups of four, and
+# each value's text is cut from them into a 32-byte frame of four words:
+# its sign at byte 0, its number from byte 3 to 24 with the point
+# inserted, an exponent suffix at bytes 25-28 and its separator at byte
+# 31. Bytes that are not text are 0 and dropped at the end. The word
+# shifts assume little-endian byte order.
+_VELTKAMP = 134217729.0  # 2**27 + 1 splits a double into two 26-bit halves
+
+
+def _veltkamp_split(a):
+    c = _VELTKAMP * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact to 10**22
+_POW10_HIGH, _POW10_LOW = _veltkamp_split(_POW10)
+
+
+def _times_pow10(mag, mag_high, mag_low, power):
+    # Dekker's product: mag * 10**power == high + low exactly.
+    p_high = _POW10_HIGH[power]
+    p_low = _POW10_LOW[power]
+    high = mag * _POW10[power]
+    low = ((mag_high * p_high - high) + mag_high * p_low
+           + mag_low * p_high) + mag_low * p_low
+    return high, low
+
+
+@functools.cache
+def _g17_tables():
+    # Built on the kernel's first call, so importing the module stays cheap.
+    quads = np.arange(10000)
+    text = (quads[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    # One word per group of four digits; index 10000 is four 0 bytes.
+    quad_text = np.zeros(10001, np.uint32)
+    quad_text[:10000] = text.astype(np.uint8).view(np.uint32).ravel()
+    # Offset of a group's last nonzero digit in it; -100 for "0000".
+    trailing = np.zeros(10000, np.int64)
+    for k in (1, 2, 3):
+        trailing[quads % 10 ** k == 0] = k
+    last_nonzero = np.where(quads == 0, -100, 3 - trailing)
+    # By units-digit byte u and last nonzero digit byte m (code 32u + m):
+    # which digit bytes stay in place (the leading zeros before byte 7
+    # only up to the units digit), which move one byte right past the
+    # point, and the point itself, left out when no digit follows it.
+    u = np.arange(24)[:, None, None]
+    m = np.arange(32)[None, :, None]
+    j = np.arange(32)
+    stop = np.where(m > u, m + 2, u + 1)
+    layouts = [np.broadcast_to(mask * np.uint8(value), (24, 32, 32))
+               for mask, value in (((j >= np.minimum(u, 7)) & (j <= u), 255),
+                                   ((j >= u + 2) & (j < stop), 255),
+                                   ((j == u + 1) & (stop > u + 1), ord(".")))]
+    in_place, moved, point = (np.ascontiguousarray(layout, np.uint8)
+                              .reshape(24 * 32, 32).view(np.uint64)
+                              for layout in layouts)
+    suffix = np.zeros(23, np.uint64)  # by X + 6
+    suffix[0] = int.from_bytes(b"\0e-06\0\0\0", "little")
+    suffix[1] = int.from_bytes(b"\0e-05\0\0\0", "little")
+    return quad_text, last_nonzero, in_place, moved, point, suffix
+
+
+_MINUS = np.uint64(ord("-"))
+_COMMA = np.uint64(ord(",") << 56)
+_COMMA_TO_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
+
+
+def _g17_text(block):
+    """The text np.savetxt(block, fmt="%.17g", delimiter=",") writes.
+
+    None when a value is neither +-0 nor of magnitude in (1e-6, 1e17).
+    %g prints exponent X = -5 and -6 as d.ddde-0X and -4 <= X < 17 in
+    fixed notation, both without trailing zeros or a bare point.
+    """
+    if sys.byteorder != "little":
+        return None
+    values = block.ravel()
+    mag = np.abs(values)
+    zero = mag == 0.0
+    if not ((mag > 1e-6) & (mag < 1e17) | zero).all():
+        return None
+    # A log10 estimate of X, off by at most one: checked on the exact
+    # product, which must lie in [1e16, 1e17). nextafter(0.1, 0) gives
+    # high == 1e16 with low < 0, so high alone cannot decide.
+    exp10 = np.floor(np.log10(mag + zero)).astype(np.int64)
+    np.clip(exp10, -6, 16, out=exp10)
+    mag_high, mag_low = _veltkamp_split(mag)
+    high, low = _times_pow10(mag, mag_high, mag_low, 16 - exp10)
+    under = ((high < 1e16) | ((high == 1e16) & (low < 0))) & ~zero
+    over = (high > 1e17) | ((high == 1e17) & (low >= 0))
+    fix = np.flatnonzero(under | over)
+    if fix.size:
+        exp10[fix] += np.where(over[fix], 1, -1)
+        high[fix], low[fix] = _times_pow10(mag[fix], mag_high[fix],
+                                           mag_low[fix], 16 - exp10[fix])
+    # high is an even integer (its ulp is at least 2), so rounding low
+    # half-even rounds high + low half-even.
+    digits = high.astype(np.int64) + np.rint(low).astype(np.int64)
+    n = digits.size
+    groups = np.empty((n, 8), np.int64)
+    groups[:, 0] = 0
+    groups[:, 6:] = 10000
+    top, bottom = np.divmod(digits, 10 ** 8)
+    top, groups[:, 3] = np.divmod(top, 10 ** 4)
+    groups[:, 1], groups[:, 2] = np.divmod(top, 10 ** 4)
+    groups[:, 4], groups[:, 5] = np.divmod(bottom, 10 ** 4)
+    quad_text, last_nonzero, in_place, moved_mask, point, suffix = _g17_tables()
+    text = quad_text.take(groups).view(np.uint64)
+    last = np.full(n, 7)
+    for k in range(4):
+        np.maximum(last, last_nonzero.take(groups[:, 2 + k]) + 8 + 4 * k,
+                   out=last)
+    # The units digit's byte: 7 + X in fixed notation, 7 before an exponent.
+    code = np.where(exp10 < -4, 7, 7 + exp10) * 32 + last
+    frame = in_place.take(code, axis=0)
+    frame &= text
+    moved = text << np.uint64(8)
+    moved.ravel()[1:] |= text.ravel()[:-1] >> np.uint64(56)
+    moved &= moved_mask.take(code, axis=0)
+    frame |= moved
+    frame |= point.take(code, axis=0)
+    frame[:, 0] |= np.signbit(values) * _MINUS
+    frame[:, 3] |= suffix.take(exp10 + 6)
+    frame[:, 3] |= _COMMA
+    frame.reshape(block.shape + (4,))[:, -1, 3] ^= _COMMA_TO_NEWLINE
+    return frame.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5):

@@ -629,15 +629,20 @@ def lambda_max_mean(data, sigma=None, penalty=Penalty.GROUP):
     n_samples, dim = samples.shape
     if n_samples < 2:
         raise ValueError("lambda_max needs at least 2 samples")
-    sigma = prox.noise_covariance(sigma, dim)
-    sigma_inv = linalg.spd_inverse(sigma)
-    centered = samples - samples.mean(axis=0)
-    partial = np.cumsum(centered, axis=0)[:-1] @ sigma_inv
+    # One work array, overwritten in place; the identity sigma skips
+    # its product.
+    partial = samples - samples.mean(axis=0)
+    np.cumsum(partial, axis=0, out=partial)
+    partial = partial[:-1]
+    if sigma is not None:
+        partial = partial @ linalg.spd_inverse(prox.noise_covariance(sigma, dim))
     if penalty is Penalty.GROUP:
-        norms = np.sqrt((partial * partial).sum(axis=1))
-    else:
-        norms = np.abs(partial).max(axis=1)
-    return float(norms.max())
+        np.square(partial, out=partial)
+        # sqrt is monotone and correctly rounded: the root of the largest
+        # sum is the largest root.
+        return float(np.sqrt(partial.sum(axis=1).max()))
+    np.abs(partial, out=partial)
+    return float(partial.max())
 
 
 def segments(estimates, tol=None):

@@ -216,6 +216,17 @@ class TestCsvWriters:
         _, truth, _ = cli.generate_piecewise_data(9, 3 * BLOCK + 11, 2)
         assert truth_path.read_bytes() == savetxt_reference(tmp_path / "ref.csv", truth)
 
+    def test_synth_data_file(self, tmp_path):
+        # Noisy distinct rows over several kernel calls.
+        n_samples = 3 * cli._G17_BLOCK_VALUES + 11
+        data_path = tmp_path / "data.csv"
+        code = cli.main(["synth", "--output", str(data_path),
+                         "--truth", str(tmp_path / "truth.csv"), "--seed", "9",
+                         "--n-samples", str(n_samples), "--dim", "2"])
+        assert code == cli.EXIT_OK
+        data, _, _ = cli.generate_piecewise_data(9, n_samples, 2)
+        assert data_path.read_bytes() == savetxt_reference(tmp_path / "ref.csv", data)
+
     def test_polished_mean_output(self, tmp_path, capsys):
         data, _, _ = cli.generate_piecewise_data(4, 2 * BLOCK + 5)
         path = tmp_path / "in.csv"
@@ -236,6 +247,79 @@ class TestCsvWriters:
         back = cli.read_matrix_csv(path)
         assert back.shape == shape
         assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+
+
+def g17_reference(arr):
+    # The %.17g rows np.savetxt writes, as text.
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in arr.tolist())
+
+
+# Whole numbers in [1e15, 2**50): n + 0.25 and n + 0.75 are exact doubles
+# whose 18th significant digit is a 5 followed by nothing, a tie.
+TIE_BASES = np.array([1e15, 1e15 + 1, 1e15 + 12345, 2.0 ** 50 - 2, 2.0 ** 50 - 1])
+
+
+def powers_of_ten_and_neighbours():
+    powers = np.array([float(10 ** k) for k in range(17)]
+                      + [float("1e%d" % k) for k in range(-6, 0)])
+    below = np.nextafter(powers, 0.0)
+    return np.concatenate([powers, below, np.nextafter(below, 0.0),
+                           np.nextafter(powers, np.inf)])
+
+
+@pytest.mark.filterwarnings("error")
+class TestG17Kernel:
+    # _g17_text, the vectorized %.17g writer of distinct rows, against %
+    # formatting: the same text, or None when a value is out of its range.
+
+    def test_distinct_rows_across_kernel_calls(self, tmp_path, monkeypatch):
+        # Normal-range rows spanning several kernel calls, with values
+        # below 1e-4 (exponent form), signed zeros and one subnormal,
+        # which sends its call to % formatting.
+        results = []
+        kernel = cli._g17_text
+
+        def recorded(block):
+            results.append(kernel(block))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "_g17_text", recorded)
+        rng = np.random.default_rng(11)
+        rows = 5 * cli._G17_BLOCK_VALUES // 4 + 7
+        arr = (rng.choice([-1.0, 1.0], (rows, 2)) * rng.uniform(1.0, 10.0, (rows, 2))
+               * 10.0 ** rng.integers(-6, 16, (rows, 2)))
+        arr[3] = [0.0, -0.0]
+        arr[-2] = [-0.0, 1e-6 * 1.5]
+        arr[cli._G17_BLOCK_VALUES // 2 + 5, 0] = 5e-324
+        assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
+        assert len(results) == 3
+        assert results[1] is None
+        assert results[0] is not None and results[2] is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e17, exclude_max=True), st.booleans()),
+                    min_size=1, max_size=64))
+    def test_matches_percent_formatting(self, signed):
+        arr = np.array([-v if negative else v for v, negative in signed])[:, None]
+        text = cli._g17_text(arr)
+        if (np.abs(arr) > 1e-6).all():
+            assert text == g17_reference(arr)
+        else:
+            assert text is None  # the double nearest 1e-6 lies below it
+
+    @pytest.mark.parametrize("values", [
+        powers_of_ten_and_neighbours(),
+        np.array([np.nextafter(0.1, 0.0), 0.1, np.nextafter(0.1, 1.0)]),
+        np.concatenate([TIE_BASES + 0.25, TIE_BASES + 0.75]),
+    ], ids=["powers-of-ten", "below-0.1", "ties"])
+    def test_edge_values(self, values):
+        arr = np.concatenate([values, -values])
+        arr = arr[(np.abs(arr) > 1e-6) & (np.abs(arr) < 1e17)].reshape(-1, 2)
+        assert cli._g17_text(arr) == g17_reference(arr)
+
+    @pytest.mark.parametrize("value", [1e17, 1e-6, 5e-324, np.inf, np.nan, 1e300])
+    def test_out_of_range_is_left_to_percent(self, value):
+        assert cli._g17_text(np.array([[1.0, value]])) is None
 
 
 def record_configs(monkeypatch):

@@ -732,6 +732,27 @@ class TestLambdaMax:
         strong = lambda_max_mean(data, sigma=np.array([[2.0]]))
         assert abs(strong - 0.5) < 1e-14
 
+    @pytest.mark.parametrize("penalty", [Penalty.GROUP, Penalty.ELEMENTWISE])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("sigma_kind", ["none", "diagonal", "correlated"])
+    def test_matches_the_full_size_formula(self, penalty, dim, sigma_kind):
+        # The in-place work array gives the values of the formula that
+        # kept every temporary.
+        rng = np.random.default_rng(dim)
+        data = rng.normal(size=(300, dim)) + np.repeat(
+            rng.uniform(-5, 5, size=(3, dim)), 100, axis=0)
+        root = rng.normal(size=(dim, dim))
+        sigma = {"none": None,
+                 "diagonal": np.diag(rng.uniform(0.5, 2.0, dim)),
+                 "correlated": root @ root.T + dim * np.eye(dim)}[sigma_kind]
+        sigma_inv = filters.linalg.spd_inverse(prox.noise_covariance(sigma, dim))
+        partial = np.cumsum(data - data.mean(axis=0), axis=0)[:-1] @ sigma_inv
+        if penalty is Penalty.GROUP:
+            norms = np.sqrt((partial * partial).sum(axis=1))
+        else:
+            norms = np.abs(partial).max(axis=1)
+        assert lambda_max_mean(data, sigma, penalty) == float(norms.max())
+
 
 class TestSegments:
     def test_two_levels(self):
