@@ -42,15 +42,11 @@ EXIT_NOT_CONVERGED = 2
 EXIT_UNBOUNDED = 3
 
 _FLOAT_FMT = "%.17g"
-# Rows per block in which the CSV writers look for runs of equal rows:
-# big enough to amortize the numpy calls, small enough that a block's
-# floats and text stay a few hundred kB and peak memory does not grow.
+# Rows per formatted write in the CSV writers: big enough to amortize
+# the numpy calls of the run search and the %.17g kernel, small enough
+# that a block's floats, text and kernel temporaries (about 320 bytes a
+# value) stay a few hundred kB and peak memory does not grow.
 _WRITE_BLOCK_ROWS = 512
-# Values per call of the %.17g kernel (_g17_text): its temporaries stay
-# near 1 MB. Below _G17_MIN_VALUES its numpy calls cost more than the
-# % formatting they replace.
-_G17_BLOCK_VALUES = 4096
-_G17_MIN_VALUES = 256
 # generate_piecewise_data's level range and change-point draw limit.
 _LEVEL_RANGE = (-5.0, 5.0)
 _MAX_ATTEMPTS = 100000
@@ -141,43 +137,31 @@ def write_history_csv(path, history):
 
 
 def _write_rows(fh, arr, row_fmt, g17=False):
-    # The text matches np.savetxt's row-at-a-time output, and memory
-    # stays flat. Piecewise-constant output (synth truth, mean
-    # estimates) is mostly long runs of equal rows, so a block of them
-    # is written run by run, each run's row formatted once and its text
-    # repeated. Bits, not ==, decide equality: -0.0 and 0.0 print
-    # differently. Blocks of mostly distinct rows are written together
-    # by _write_distinct; ``g17`` says that row_fmt is %.17g throughout.
-    pending = 0  # first row not yet written
+    # One write per block of rows: the text matches np.savetxt's
+    # row-at-a-time output, and memory stays flat. Piecewise-constant
+    # output (synth truth, mean estimates) is mostly long runs of equal
+    # rows, so each run of bit-identical rows in a block is formatted
+    # once and its text repeated. Bits, not ==, decide equality: -0.0
+    # and 0.0 print differently. ``g17`` says that row_fmt is %.17g
+    # throughout, so the vectorized kernel may write distinct rows.
     for start in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
         block = np.ascontiguousarray(arr[start:start + _WRITE_BLOCK_ROWS])
         bits = block.view(np.uint64)
         firsts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
         n_rows = block.shape[0]
         if 2 * (len(firsts) + 1) > n_rows:
+            # Mostly distinct rows: the kernel, or one format call for
+            # the whole block when a value is outside the kernel's range.
+            text = _g17_text(block) if g17 else None
+            if text is None:
+                text = (row_fmt * n_rows) % tuple(block.ravel().tolist())
+            fh.write(text)
             continue
-        _write_distinct(fh, arr[pending:start], row_fmt, g17)
-        pending = start + n_rows
         bounds = [0, *firsts.tolist(), n_rows]
         fh.write("".join(
             (row_fmt % tuple(row)) * (stop - first)
             for row, first, stop in zip(block[bounds[:-1]].tolist(),
                                         bounds, bounds[1:])))
-    _write_distinct(fh, arr[pending:], row_fmt, g17)
-
-
-def _write_distinct(fh, rows, row_fmt, g17):
-    # One write per chunk of about _G17_BLOCK_VALUES values, through the
-    # vectorized kernel where it applies and % formatting elsewhere.
-    step = max(1, _G17_BLOCK_VALUES // max(1, rows.shape[1]))
-    for start in range(0, rows.shape[0], step):
-        chunk = rows[start:start + step]
-        text = None
-        if g17 and chunk.size >= _G17_MIN_VALUES:
-            text = _g17_text(chunk)
-        if text is None:
-            text = (row_fmt * chunk.shape[0]) % tuple(chunk.ravel().tolist())
-        fh.write(text)
 
 
 # The %.17g kernel. The 17 significant digits of |x| are the integer
@@ -256,13 +240,14 @@ _COMMA_TO_NEWLINE = np.uint64((ord(",") ^ ord("\n")) << 56)
 def _g17_text(block):
     """The text np.savetxt(block, fmt="%.17g", delimiter=",") writes.
 
-    None when a value is neither +-0 nor of magnitude in (1e-6, 1e17).
-    %g prints exponent X = -5 and -6 as d.ddde-0X and -4 <= X < 17 in
-    fixed notation, both without trailing zeros or a bare point.
+    None for a block without values, or when a value is neither +-0 nor
+    of magnitude in (1e-6, 1e17). %g prints exponent X = -5 and -6 as
+    d.ddde-0X and -4 <= X < 17 in fixed notation, both without trailing
+    zeros or a bare point.
     """
-    if sys.byteorder != "little":
-        return None
     values = block.ravel()
+    if sys.byteorder != "little" or not values.size:
+        return None
     mag = np.abs(values)
     zero = mag == 0.0
     if not ((mag > 1e-6) & (mag < 1e17) | zero).all():

@@ -218,7 +218,7 @@ class TestCsvWriters:
 
     def test_synth_data_file(self, tmp_path):
         # Noisy distinct rows over several kernel calls.
-        n_samples = 3 * cli._G17_BLOCK_VALUES + 11
+        n_samples = 3 * BLOCK + 11
         data_path = tmp_path / "data.csv"
         code = cli.main(["synth", "--output", str(data_path),
                          "--truth", str(tmp_path / "truth.csv"), "--seed", "9",
@@ -285,12 +285,12 @@ class TestG17Kernel:
 
         monkeypatch.setattr(cli, "_g17_text", recorded)
         rng = np.random.default_rng(11)
-        rows = 5 * cli._G17_BLOCK_VALUES // 4 + 7
+        rows = 2 * BLOCK + BLOCK // 2 + 7
         arr = (rng.choice([-1.0, 1.0], (rows, 2)) * rng.uniform(1.0, 10.0, (rows, 2))
                * 10.0 ** rng.integers(-6, 16, (rows, 2)))
         arr[3] = [0.0, -0.0]
         arr[-2] = [-0.0, 1e-6 * 1.5]
-        arr[cli._G17_BLOCK_VALUES // 2 + 5, 0] = 5e-324
+        arr[BLOCK + 5, 0] = 5e-324
         assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
         assert len(results) == 3
         assert results[1] is None
@@ -320,6 +320,13 @@ class TestG17Kernel:
     @pytest.mark.parametrize("value", [1e17, 1e-6, 5e-324, np.inf, np.nan, 1e300])
     def test_out_of_range_is_left_to_percent(self, value):
         assert cli._g17_text(np.array([[1.0, value]])) is None
+
+    @pytest.mark.parametrize("shape", [(1, 0), (3, 0)])
+    def test_rows_without_values(self, tmp_path, shape):
+        # One empty line per row, which % formatting writes.
+        arr = np.zeros(shape)
+        assert cli._g17_text(arr) is None
+        assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
 
 
 def record_configs(monkeypatch):
