@@ -17,7 +17,6 @@ certificate still exits 0, with a warning on standard error.
 
 import argparse
 import functools
-import itertools
 import os
 import sys
 import warnings
@@ -42,11 +41,14 @@ EXIT_NOT_CONVERGED = 2
 EXIT_UNBOUNDED = 3
 
 _FLOAT_FMT = "%.17g"
-# Rows per formatted write in the CSV writers: big enough to amortize
-# the numpy calls of the run search and the %.17g kernel, small enough
-# that a block's floats, text and kernel temporaries (about 320 bytes a
-# value) stay a few hundred kB and peak memory does not grow.
-_WRITE_BLOCK_ROWS = 512
+# Values per formatted write in the CSV writers, in whole rows (at
+# least one). Larger blocks amortize the numpy calls of the run search
+# and the %.17g kernel; smaller ones keep peak memory flat. Each array
+# the kernel allocates, at most 32 bytes a value, stays under glibc's
+# default 128 KiB mmap threshold.
+_WRITE_BLOCK_VALUES = 4000
+# Names numpy's loadtxt would open decompressed.
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 # generate_piecewise_data's level range and change-point draw limit.
 _LEVEL_RANGE = (-5.0, 5.0)
 _MAX_ATTEMPTS = 100000
@@ -66,20 +68,26 @@ def read_matrix_csv(path):
     Raises ``ValueError`` with a line/column diagnostic on malformed
     input.
     """
-    try:
-        # An open handle, not the path: numpy's path handling would also
-        # open URLs and compressed files.
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
-            # loadtxt only warns on a file with no data rows.
-            warnings.simplefilter("error", UserWarning)
-            # To loadtxt a whitespace-only line is a row with one empty
-            # field; to the line reader it is blank.
-            arr = np.loadtxt(itertools.filterfalse(str.isspace, fh),
-                             delimiter=",", ndmin=2, comments=None, dtype=float)
-    except (ValueError, UserWarning):
-        # loadtxt rejects some tokens float() accepts ("1_0") and words
-        # its errors differently, so the line reader decides: it returns
-        # the array or raises the diagnostic.
+    # A path, not an open handle, so that loadtxt's C reader pulls the
+    # file in chunks. An absolute path to a regular file is never taken
+    # for a URL, and compressed names, FIFOs and missing files go to the
+    # line reader, which opens exactly the given name.
+    name = os.path.abspath(os.fsdecode(path))
+    arr = None
+    if os.path.isfile(name) and not name.endswith(_COMPRESSED_SUFFIXES):
+        try:
+            with warnings.catch_warnings():
+                # loadtxt only warns on a file with no data rows.
+                warnings.simplefilter("error", UserWarning)
+                arr = np.loadtxt(name, delimiter=",", ndmin=2, comments=None,
+                                 dtype=float, encoding="utf-8")
+        except (ValueError, UserWarning, OSError):
+            # loadtxt rejects whitespace-only lines, tokens float() accepts
+            # ("1_0") and a BOM, and words its errors differently, with the
+            # absolute name, so the line reader decides: it returns the
+            # array or raises the diagnostic for the name as given.
+            pass
+    if arr is None:
         arr = _read_matrix_lines(path)
     if not np.isfinite(arr).all():
         raise ValueError("%s: contains non-finite values" % path)
@@ -144,8 +152,9 @@ def _write_rows(fh, arr, row_fmt, g17=False):
     # once and its text repeated. Bits, not ==, decide equality: -0.0
     # and 0.0 print differently. ``g17`` says that row_fmt is %.17g
     # throughout, so the vectorized kernel may write distinct rows.
-    for start in range(0, arr.shape[0], _WRITE_BLOCK_ROWS):
-        block = np.ascontiguousarray(arr[start:start + _WRITE_BLOCK_ROWS])
+    rows = max(_WRITE_BLOCK_VALUES // max(arr.shape[1], 1), 1)
+    for start in range(0, arr.shape[0], rows):
+        block = np.ascontiguousarray(arr[start:start + rows])
         bits = block.view(np.uint64)
         firsts = np.flatnonzero((bits[1:] != bits[:-1]).any(axis=1)) + 1
         n_rows = block.shape[0]
@@ -201,16 +210,19 @@ def _times_pow10(mag, mag_high, mag_low, power):
 @functools.cache
 def _g17_tables():
     # Built on the kernel's first call, so importing the module stays cheap.
-    quads = np.arange(10000)
-    text = (quads[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
-    # One word per group of four digits; index 10000 is four 0 bytes.
-    quad_text = np.zeros(10001, np.uint32)
-    quad_text[:10000] = text.astype(np.uint8).view(np.uint32).ravel()
-    # Offset of a group's last nonzero digit in it; -100 for "0000".
-    trailing = np.zeros(10000, np.int64)
+    quads = np.arange(10000, dtype=np.uint16)
+    text = quads[:, None] // np.array([1000, 100, 10, 1], np.uint16) % 10 + ord("0")
+    # One word per group of four digits and, by leading digit, the
+    # text's first eight bytes: "0000", "000" and the digit.
+    quad_text = text.astype(np.uint8).view(np.uint32).ravel()
+    lead_text = quad_text[:10].astype(np.uint64) << np.uint64(32) | quad_text[0]
+    # By group k (0-3, the groups from byte 8) and group: the byte of its
+    # last nonzero digit, 0 for "0000".
+    trailing = np.zeros(10000, np.int16)
     for k in (1, 2, 3):
         trailing[quads % 10 ** k == 0] = k
-    last_nonzero = np.where(quads == 0, -100, 3 - trailing)
+    offsets = 11 + 4 * np.arange(4, dtype=np.int16)[:, None]
+    last_byte = np.where(quads == 0, 0, offsets - trailing).astype(np.int16)
     # By units-digit byte u and last nonzero digit byte m (code 32u + m):
     # which digit bytes stay in place (the leading zeros before byte 7
     # only up to the units digit), which move one byte right past the
@@ -229,7 +241,7 @@ def _g17_tables():
     suffix = np.zeros(23, np.uint64)  # by X + 6
     suffix[0] = int.from_bytes(b"\0e-06\0\0\0", "little")
     suffix[1] = int.from_bytes(b"\0e-05\0\0\0", "little")
-    return quad_text, last_nonzero, in_place, moved, point, suffix
+    return quad_text, lead_text, last_byte, in_place, moved, point, suffix
 
 
 _MINUS = np.uint64(ord("-"))
@@ -248,6 +260,20 @@ def _g17_text(block):
     values = block.ravel()
     if sys.byteorder != "little" or not values.size:
         return None
+    found = _g17_digits(values)
+    if found is None:
+        return None
+    # Each stage's temporaries are freed when it returns, so fewer
+    # arrays are alive at once.
+    frame = _g17_frame(*found)
+    frame[:, 0] |= np.signbit(values) * _MINUS
+    frame.reshape(block.shape + (4,))[:, -1, 3] ^= _COMMA_TO_NEWLINE
+    return frame.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _g17_digits(values):
+    # X and the 17 significant digits of each |value|, or None when a
+    # value is out of the kernel's range.
     mag = np.abs(values)
     zero = mag == 0.0
     if not ((mag > 1e-6) & (mag < 1e17) | zero).all():
@@ -256,7 +282,8 @@ def _g17_text(block):
     # product, which must lie in [1e16, 1e17). nextafter(0.1, 0) gives
     # high == 1e16 with low < 0, so high alone cannot decide.
     exp10 = np.floor(np.log10(mag + zero)).astype(np.int64)
-    np.clip(exp10, -6, 16, out=exp10)
+    np.maximum(exp10, -6, out=exp10)
+    np.minimum(exp10, 16, out=exp10)
     mag_high, mag_low = _veltkamp_split(mag)
     high, low = _times_pow10(mag, mag_high, mag_low, 16 - exp10)
     under = ((high < 1e16) | ((high == 1e16) & (low < 0))) & ~zero
@@ -268,21 +295,31 @@ def _g17_text(block):
                                            mag_low[fix], 16 - exp10[fix])
     # high is an even integer (its ulp is at least 2), so rounding low
     # half-even rounds high + low half-even.
-    digits = high.astype(np.int64) + np.rint(low).astype(np.int64)
-    n = digits.size
-    groups = np.empty((n, 8), np.int64)
-    groups[:, 0] = 0
-    groups[:, 6:] = 10000
-    top, bottom = np.divmod(digits, 10 ** 8)
-    top, groups[:, 3] = np.divmod(top, 10 ** 4)
-    groups[:, 1], groups[:, 2] = np.divmod(top, 10 ** 4)
-    groups[:, 4], groups[:, 5] = np.divmod(bottom, 10 ** 4)
-    quad_text, last_nonzero, in_place, moved_mask, point, suffix = _g17_tables()
-    text = quad_text.take(groups).view(np.uint64)
-    last = np.full(n, 7)
-    for k in range(4):
-        np.maximum(last, last_nonzero.take(groups[:, 2 + k]) + 8 + 4 * k,
-                   out=last)
+    return exp10, high.astype(np.int64) + np.rint(low).astype(np.int64)
+
+
+def _g17_frame(exp10, digits):
+    # The frame of each value, without its sign and with a comma after
+    # every value. The leading digit and four groups of four come from
+    # floor division and a multiply-subtract, which give divmod's
+    # digits because every operand is >= 0.
+    top = digits // 10 ** 8
+    bottom = digits - top * 10 ** 8
+    upper = top // 10 ** 4
+    lead = upper // 10 ** 4
+    lower = bottom // 10 ** 4
+    groups = (upper - lead * 10 ** 4, top - upper * 10 ** 4,
+              lower, bottom - lower * 10 ** 4)
+    quad_text, lead_text, last_byte, in_place, moved_mask, point, suffix = (
+        _g17_tables())
+    text = np.empty((digits.size, 4), np.uint64)
+    text[:, 0] = lead_text.take(lead)
+    quads = text[:, 1:3].view(np.uint32)
+    last = np.full(digits.size, 7, np.int16)
+    for k, group in enumerate(groups):
+        quads[:, k] = quad_text.take(group)
+        np.maximum(last, last_byte[k].take(group), out=last)
+    text[:, 3] = 0
     # The units digit's byte: 7 + X in fixed notation, 7 before an exponent.
     code = np.where(exp10 < -4, 7, 7 + exp10) * 32 + last
     frame = in_place.take(code, axis=0)
@@ -292,11 +329,9 @@ def _g17_text(block):
     moved &= moved_mask.take(code, axis=0)
     frame |= moved
     frame |= point.take(code, axis=0)
-    frame[:, 0] |= np.signbit(values) * _MINUS
     frame[:, 3] |= suffix.take(exp10 + 6)
     frame[:, 3] |= _COMMA
-    frame.reshape(block.shape + (4,))[:, -1, 3] ^= _COMMA_TO_NEWLINE
-    return frame.tobytes().translate(None, b"\0").decode("ascii")
+    return frame
 
 
 def generate_piecewise_data(seed, n_samples=400, dim=1, n_segments=5):

@@ -3,6 +3,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -88,6 +89,62 @@ class TestReadMatrixCsv:
             cli.read_matrix_csv(str(path))
         assert info.value.filename == str(path)
 
+    def test_regular_file_reaches_loadtxt_as_a_path(self, tmp_path, monkeypatch):
+        names = record_loadtxt_names(monkeypatch)
+        path = write_lines(tmp_path / "d.csv", "1,2\n3,4\n")
+        assert np.array_equal(cli.read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+        assert names == [os.path.abspath(path)]  # a str, not a handle
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_names_are_read_as_text(self, tmp_path, monkeypatch, suffix):
+        text = "1,2\n-0,4.5e-7\n"
+        expected = cli.read_matrix_csv(write_lines(tmp_path / "d.csv", text))
+        names = record_loadtxt_names(monkeypatch)
+        arr = cli.read_matrix_csv(write_lines(tmp_path / ("d.csv" + suffix), text))
+        assert np.array_equal(arr.view(np.uint64), expected.view(np.uint64))
+        assert names == []  # numpy would open the name decompressed
+
+    def test_url_like_path_is_read_from_disk(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        def no_lookup(*args, **kwargs):
+            raise AssertionError("URL lookup")
+
+        (tmp_path / "http:" / "host").mkdir(parents=True)
+        write_lines(tmp_path / "http:" / "host" / "d.csv", "1,2\n3,4\n")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(urllib.request, "urlopen", no_lookup)
+        names = record_loadtxt_names(monkeypatch)
+        arr = cli.read_matrix_csv("http://host/d.csv")
+        assert np.array_equal(arr, [[1.0, 2.0], [3.0, 4.0]])
+        assert names == [str(tmp_path / "http:" / "host" / "d.csv")]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_of_finite_doubles(self, tmp_path_factory, data):
+        width = data.draw(st.integers(1, 9))
+        row = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                       min_size=width, max_size=width)
+        arr = np.array(data.draw(st.lists(row, min_size=1, max_size=20)), dtype=float)
+        path = str(tmp_path_factory.mktemp("rt") / "rt.csv")
+        cli.write_matrix_csv(path, arr)
+        back = cli.read_matrix_csv(path)
+        assert back.shape == arr.shape
+        assert np.array_equal(back.view(np.uint64), arr.view(np.uint64))
+
+
+def record_loadtxt_names(monkeypatch):
+    # The names np.loadtxt is handed.
+    names = []
+    loadtxt = np.loadtxt
+
+    def recorded(fname, *args, **kwargs):
+        names.append(fname)
+        return loadtxt(fname, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", recorded)
+    return names
+
 
 def savetxt_reference(path, arr):
     # The writer's contract: the bytes np.savetxt gives for the same rows.
@@ -114,7 +171,12 @@ def wide_values(rng, shape):
     return arr
 
 
-BLOCK = cli._WRITE_BLOCK_ROWS
+def block_rows(width):
+    # Rows per formatted write, and per %.17g kernel call, at this width.
+    return cli._WRITE_BLOCK_VALUES // width
+
+
+BLOCK = block_rows(2)
 EDGE_VALUES = [-0.0, 0.0, np.nan, 5e-324, -2.2e-308, 1.7e308, -1.7e308, 0.1,
                1.0 / 3.0]
 
@@ -124,11 +186,50 @@ def matrix_bytes(tmp_path, arr):
     return (tmp_path / "out.csv").read_bytes()
 
 
+def record_kernel_blocks(monkeypatch):
+    # The blocks the writer hands the %.17g kernel.
+    blocks = []
+    kernel = cli._g17_text
+
+    def recorded(block):
+        blocks.append(block)
+        return kernel(block)
+
+    monkeypatch.setattr(cli, "_g17_text", recorded)
+    return blocks
+
+
+def largest_step_allocation(func, *args):
+    # The most memory one bytecode of func, or of a function it calls,
+    # allocates: an upper bound on its largest single allocation.
+    steps = []
+
+    def on_call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return on_step
+
+    def on_step(frame, event, arg):
+        steps.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return on_step
+
+    previous = sys.gettrace()
+    tracemalloc.start()
+    sys.settrace(on_call)
+    try:
+        func(*args)
+    finally:
+        sys.settrace(previous)
+        steps.append(tracemalloc.get_traced_memory())
+        tracemalloc.stop()
+    return max(peak - current for (current, _), (_, peak) in zip(steps, steps[1:]))
+
+
 @pytest.mark.filterwarnings("error")
 class TestCsvWriters:
     @pytest.mark.parametrize("shape", [
-        (1, 3), (50, 1), (20, 9), (cli._WRITE_BLOCK_ROWS + 1, 2),
-        (2 * cli._WRITE_BLOCK_ROWS, 1), (0, 2), (4,),
+        (1, 3), (50, 1), (20, 9), (block_rows(2) + 1, 2),
+        (2 * block_rows(1), 1), (0, 2), (4,),
     ])
     def test_matrix_bytes_match_savetxt(self, tmp_path, shape):
         arr = wide_values(np.random.default_rng(len(shape) + shape[0]), shape)
@@ -136,7 +237,7 @@ class TestCsvWriters:
         assert (tmp_path / "out.csv").read_bytes() == savetxt_reference(
             tmp_path / "ref.csv", arr)
 
-    @pytest.mark.parametrize("rows", [0, 1, cli._WRITE_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("rows", [0, 1, block_rows(5) + 3])
     def test_history_bytes_match_record_format(self, tmp_path, rows):
         rng = np.random.default_rng(rows)
         history = np.zeros(rows, dtype=HISTORY_DTYPE)
@@ -155,7 +256,8 @@ class TestCsvWriters:
                             for line in lines], dtype=HISTORY_DTYPE)
         assert res.read_bytes() == history_reference(history)
 
-    @pytest.mark.parametrize("run", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("run", [1, block_rows(3) - 1, block_rows(3),
+                                     block_rows(3) + 1, 2 * block_rows(3) + 3])
     def test_runs_across_block_edges(self, tmp_path, run):
         rows = wide_values(np.random.default_rng(run), (5, 3))
         arr = np.repeat(rows, [run, 1, run, 2, run], axis=0)
@@ -183,9 +285,10 @@ class TestCsvWriters:
         assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
 
     def test_history_with_repeated_rows(self, tmp_path):
-        history = np.zeros(3 * BLOCK, dtype=HISTORY_DTYPE)
-        history["iter"] = np.repeat([1, 2, 7], [BLOCK + 1, 2, 2 * BLOCK - 3])
-        history["primal"] = np.repeat([0.5, 0.5, 1e-300], [BLOCK + 1, 2, 2 * BLOCK - 3])
+        block = block_rows(5)
+        history = np.zeros(3 * block, dtype=HISTORY_DTYPE)
+        history["iter"] = np.repeat([1, 2, 7], [block + 1, 2, 2 * block - 3])
+        history["primal"] = np.repeat([0.5, 0.5, 1e-300], [block + 1, 2, 2 * block - 3])
         history["dual"][::2] = np.pi
         history["eps_pri"] = 1.0 / 3.0
         cli.write_history_csv(str(tmp_path / "hist.csv"), history)
@@ -198,8 +301,9 @@ class TestCsvWriters:
         value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(width=64))
         pool = data.draw(st.lists(st.lists(value, min_size=width, max_size=width),
                                   min_size=1, max_size=4))
-        run = st.one_of(st.integers(1, 4), st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1]),
-                        st.integers(1, 2 * BLOCK + 3))
+        block = block_rows(width)
+        run = st.one_of(st.integers(1, 4), st.sampled_from([block - 1, block, block + 1]),
+                        st.integers(1, 2 * block + 3))
         runs = data.draw(st.lists(st.tuples(st.integers(0, len(pool) - 1), run),
                                   min_size=1, max_size=6))
         arr = np.repeat(np.array(pool, dtype=float)[[i for i, _ in runs]],
@@ -216,16 +320,39 @@ class TestCsvWriters:
         _, truth, _ = cli.generate_piecewise_data(9, 3 * BLOCK + 11, 2)
         assert truth_path.read_bytes() == savetxt_reference(tmp_path / "ref.csv", truth)
 
-    def test_synth_data_file(self, tmp_path):
+    def test_synth_data_file(self, tmp_path, monkeypatch):
         # Noisy distinct rows over several kernel calls.
         n_samples = 3 * BLOCK + 11
         data_path = tmp_path / "data.csv"
+        blocks = record_kernel_blocks(monkeypatch)
         code = cli.main(["synth", "--output", str(data_path),
                          "--truth", str(tmp_path / "truth.csv"), "--seed", "9",
                          "--n-samples", str(n_samples), "--dim", "2"])
         assert code == cli.EXIT_OK
         data, _, _ = cli.generate_piecewise_data(9, n_samples, 2)
         assert data_path.read_bytes() == savetxt_reference(tmp_path / "ref.csv", data)
+        assert len(blocks) >= 3
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_kernel_calls_stay_within_the_cap(self, tmp_path, monkeypatch, width):
+        cap = cli._WRITE_BLOCK_VALUES
+        arr = np.random.default_rng(width).standard_normal((3 * cap + 1, width))
+        blocks = record_kernel_blocks(monkeypatch)
+        assert matrix_bytes(tmp_path, arr) == savetxt_reference(tmp_path / "ref.csv", arr)
+        assert sum(len(block) for block in blocks) == len(arr)
+        assert max(block.size for block in blocks) <= cap
+
+    @pytest.mark.parametrize("width", [1, 2, 9])
+    def test_allocations_stay_under_the_mmap_threshold(self, tmp_path, width):
+        # glibc's default mmap threshold is 128 KiB: a block larger than
+        # that, once freed, raises the threshold, and the heap keeps its
+        # pages. Each value is in the kernel's range, so a full block
+        # takes the kernel's path.
+        rows = 2 * block_rows(width) + 1
+        arr = np.random.default_rng(width).uniform(-1e6, 1e6, (rows, width))
+        path = str(tmp_path / "out.csv")
+        cli.write_matrix_csv(path, arr)  # builds the kernel's tables
+        assert largest_step_allocation(cli.write_matrix_csv, path, arr) < 128 * 1024
 
     def test_polished_mean_output(self, tmp_path, capsys):
         data, _, _ = cli.generate_piecewise_data(4, 2 * BLOCK + 5)
@@ -239,7 +366,7 @@ class TestCsvWriters:
         assert len(segments(estimates)) < 20
         assert out.read_bytes() == savetxt_reference(tmp_path / "ref.csv", estimates)
 
-    @pytest.mark.parametrize("shape", [(1, 1), (300, 2), (cli._WRITE_BLOCK_ROWS + 1, 9)])
+    @pytest.mark.parametrize("shape", [(1, 1), (300, 2), (block_rows(9) + 1, 9)])
     def test_round_trip_is_bit_exact(self, tmp_path, shape):
         arr = wide_values(np.random.default_rng(shape[1]), shape)
         path = str(tmp_path / "rt.csv")
