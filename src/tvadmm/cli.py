@@ -11,8 +11,11 @@ Data files are headerless comma-separated values, one time step per row;
 residual history files carry a single header row. All numbers are
 written with 17 significant digits. Exit codes: 0 converged, 1 input
 error, 2 iteration cap reached (results still written), 3 unbounded
-problem. A converged ``mean`` whose estimate fails its optimality
-certificate still exits 0, with a warning on standard error.
+problem. A ``mean`` estimate that passed its optimality certificate
+exits 0 even when the iteration missed the residual test, since the
+estimate written is the certified optimum. A converged ``mean`` whose
+estimate fails its certificate still exits 0, with a warning on
+standard error.
 """
 
 import argparse
@@ -409,7 +412,7 @@ def _cmd_mean(args):
     write_matrix_csv(args.output, estimates)
     write_history_csv(args.residuals, report.history)
     _print_segments(estimates)
-    if not report.converged:
+    if not (report.converged or report.polished):
         print(
             "warning: no convergence within %d iterations" % report.iterations,
             file=sys.stderr,

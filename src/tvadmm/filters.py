@@ -23,9 +23,14 @@ from .exceptions import (NumericalFailureError, UnboundedProblemError,
 # Sign patterns each active-set attempt tries before it gives up.
 _MAX_PATTERNS = 50
 
-# Steps the TV pass takes one sample at a time in each open segment
-# before it carries the segment on with array scans.
-_STEP_LIMIT = 128
+# Steps the TV pass takes one sample at a time in an open segment before
+# it hands the segment to the array scan. A segment whose restart region
+# alone is longer is scanned from its first sample.
+_STEP_LIMIT = 64
+
+# Level differences the TV pass counts as ties, relative to the largest
+# level: a jump that small is rounding, not a sign.
+_TIE = 8 * np.finfo(float).eps
 
 
 class Penalty(str, Enum):
@@ -126,8 +131,10 @@ def mean_filter(data, spec, config=None):
 
     - the start takes each component's exact 1-D total variation
       partition with weight ``sigma[c, c] * lam`` (Condat's direct
-      algorithm, stepping one sample at a time through short segments
-      and scanning long ones with array operations), which is the
+      algorithm: it steps one sample at a time through short segments,
+      hands a segment still open after 64 steps to array scans that
+      find its close, and scans a segment from its first sample when
+      the restart region before it is longer than that), which is the
       optimum's partition when sigma is diagonal and a first guess
       otherwise. A certified optimum x* with multipliers P starts the
       iteration at its exact fixed point, z = x*, s = Dx*,
@@ -211,38 +218,47 @@ def _tv_partition(samples, sigma, lam):
     # The (N - 1, n) jump signs of each component's exact 1-D total
     # variation denoising with weight sigma[c, c] * lam (Condat, IEEE SPL
     # 2013): the optimum's partition when sigma is diagonal, a first
-    # guess otherwise. The direct algorithm walks the series once. It
-    # keeps the range [vmin, vmax] of levels the open segment can still
-    # take and the dual's value (umin, umax) at each bound; when one
-    # leaves [-w, w] the segment closes at that bound, at the last sample
-    # where its dual was tight. Only each segment's end and level are
-    # recorded. The loop takes the first _STEP_LIMIT steps of each open
-    # segment one sample at a time, which is cheapest for short
-    # segments; a longer one is carried by _scan_open_segment to the
-    # sample before it closes, and the loop takes the closing step.
+    # guess otherwise. The direct algorithm keeps the range [vmin, vmax]
+    # of levels the open segment can still take and the dual's value
+    # (umin, umax) at each bound; when one leaves [-w, w] the segment
+    # closes at that bound, at the last sample where its dual was tight,
+    # and the next one restarts just after it. The samples from there to
+    # the closing step, the restart region, are walked again: the next
+    # segment never closes before that step. Only each segment's end and
+    # level are recorded.
+    #
+    # The loop walks an open segment one sample at a time for at most
+    # _STEP_LIMIT steps, which is cheapest for short segments; a segment
+    # still open is handed to _scan_open_segment, which carries it to
+    # its close. A segment whose restart region is longer than the limit
+    # would reach the hand-off anyway, so it is scanned from its first
+    # sample. Jumps within rounding of the largest level count as ties.
     signs = np.zeros_like(samples[1:])
+    counts = np.arange(1.0, samples.shape[0] + 1.0)
     limit = _STEP_LIMIT
     for c in range(samples.shape[1]):
         column = samples[:, c]
         y = column.tolist()
         w = float(sigma[c, c]) * lam
+        minus_w = -w
         last = len(y) - 1
         ends, levels = [], []
         k = k0 = kminus = kplus = 0
-        umin, umax = w, -w
+        umin, umax = w, minus_w
         vmin, vmax = y[0] - w, y[0] + w
         stop = min(last, limit)
         while True:
             while k < stop:
-                following = y[k + 1]
+                k += 1
+                following = y[k]
                 umin += following - vmin
-                if umin < -w:
+                if umin < minus_w:
                     ends.append(kminus)
                     levels.append(vmin)
                     k = k0 = kminus = kplus = kminus + 1
                     vmin = y[k]
                     vmax = vmin + 2.0 * w
-                    umin, umax = w, -w
+                    umin, umax = w, minus_w
                     stop = min(last, k0 + limit)
                     continue
                 umax += following - vmax
@@ -252,23 +268,53 @@ def _tv_partition(samples, sigma, lam):
                     k = k0 = kminus = kplus = kplus + 1
                     vmax = y[k]
                     vmin = vmax - 2.0 * w
-                    umin, umax = w, -w
+                    umin, umax = w, minus_w
                     stop = min(last, k0 + limit)
                     continue
-                k += 1
                 if umin >= w:
                     kminus = k
                     vmin += (umin - w) / (k - k0 + 1)
                     umin = w
-                if umax <= -w:
+                if umax <= minus_w:
                     kplus = k
                     vmax += (umax + w) / (k - k0 + 1)
-                    umax = -w
+                    umax = minus_w
             if k < last:
-                k, umin, umax, vmin, vmax, kminus, kplus = _scan_open_segment(
-                    column, w, k, k0, umin, vmin, vmax, kminus, kplus)
-                stop = min(last, k + 1)
-                continue
+                if k == k0:
+                    # A fresh segment: its level is unbounded before its
+                    # first sample, and its dual starts at `start`.
+                    k, umin, umax, vmin, vmax, kminus, kplus, side = _scan_open_segment(
+                        column, counts, w, k0 - 1, k0, start, -np.inf, np.inf,
+                        k0, k0, max(8 * limit, 2 * lag))
+                elif vmin <= vmax:
+                    k, umin, umax, vmin, vmax, kminus, kplus, side = _scan_open_segment(
+                        column, counts, w, k, k0, umin + (k - k0 + 1) * vmin, vmin,
+                        vmax, kminus, kplus, max(8 * limit, 2 * (k - k0 + 1)))
+                else:
+                    # Rounding crossed the bounds: walk on.
+                    stop = min(last, k + limit)
+                    continue
+                if side:
+                    # The scan closed the segment; k + 1 is the closing step.
+                    if side < 0:
+                        lag = k - kminus
+                        ends.append(kminus)
+                        levels.append(vmin)
+                        k = k0 = kminus = kplus = kminus + 1
+                        vmin = y[k]
+                        vmax = vmin + 2.0 * w
+                        start = w
+                    else:
+                        lag = k - kplus
+                        ends.append(kplus)
+                        levels.append(vmax)
+                        k = k0 = kminus = kplus = kplus + 1
+                        vmax = y[k]
+                        vmin = vmax - 2.0 * w
+                        start = minus_w
+                    umin, umax = w, minus_w
+                    stop = k0 if lag > limit else min(last, k0 + limit)
+                    continue
             # The right end: the open segment's dual must end at 0.
             if umin < 0.0:
                 ends.append(kminus)
@@ -280,63 +326,80 @@ def _tv_partition(samples, sigma, lam):
                 ends.append(kplus)
                 levels.append(vmax)
                 k = k0 = kplus = kplus + 1
-                vmax, umax = y[k], -w
+                vmax, umax = y[k], minus_w
                 umin = vmax - w - vmin
             else:
                 ends.append(k)
                 levels.append(vmin + umin / (k - k0 + 1))
                 break
             stop = min(last, k0 + limit)
-        signs[ends[:-1], c] = np.sign(np.diff(levels))
+        levels = np.array(levels)
+        jumps = levels[1:] - levels[:-1]
+        jumps[np.abs(jumps) <= _TIE * np.abs(levels).max()] = 0.0
+        signs[ends[:-1], c] = np.sign(jumps)
     return signs
 
 
-def _scan_open_segment(y, w, k, k0, umin, vmin, vmax, kminus, kplus):
+def _scan_open_segment(y, counts, w, k, k0, total, vmin, vmax, kminus, kplus, size):
     # _tv_partition's loop over the open segment y[k0..k], run as array
-    # scans. Returns the loop's state (k, umin, umax, vmin, vmax, kminus,
-    # kplus) after the last step that leaves the segment open, which is
-    # at the series end when no step closes it. With n = j - k0 + 1
-    # samples at sample j, T = umin + n * vmin = umax + n * vmax is the
-    # segment's sum plus the dual it started with. The loop's updates
+    # scans in chunks of `size` samples, doubling, until the segment
+    # closes or the series ends. With n = j - k0 + 1 samples at sample j,
+    # T = umin + n * vmin = umax + n * vmax is the segment's sum plus the
+    # dual it started with (`total`, passed in at k). The loop's updates
     # set vmin = max(vmin, (T - w) / n) and vmax = min(vmax, (T + w) / n),
     # moving kminus or kplus to j where the new term is the bound (ties
-    # go to the later sample). A step closes the segment when the bound
-    # before it lies beyond the other side, vmin > (T + w) / n or
-    # vmax < (T - w) / n, which holds exactly when the updated bound
-    # does. The first chunk covers twice the segment so far (at least
-    # _STEP_LIMIT samples); each further one is four times longer.
+    # go to the later sample). A step closes the segment exactly when the
+    # updated bounds cross, vmin > vmax; the bound that stayed put is the
+    # closing side. Each chunk sums its own samples from zero, so a fresh
+    # segment's sums are its own. Returns the loop's state (k, umin,
+    # umax, vmin, vmax, kminus, kplus) after the last step that leaves
+    # the segment open, and the closing side: -1 at kminus with level
+    # vmin, 1 at kplus with level vmax, 0 when the series ends first.
     last = y.size - 1
     n = k - k0 + 1
-    total = umin + n * vmin
-    size = max(_STEP_LIMIT, 2 * n)
-    while k < last:
-        sums = np.cumsum(y[k + 1:min(last, k + size) + 1])
-        counts = np.arange(n + 1.0, n + 1.0 + sums.size)
-        cmin = (sums + (total - w)) / counts
-        cmax = (sums + (total + w)) / counts
+    side = 0
+    while True:
+        sums = np.add.accumulate(y[k + 1:k + 1 + size])
+        steps = sums.size
+        scale = counts[n:n + steps]
+        cmin = (sums + (total - w)) / scale
+        cmax = (sums + (total + w)) / scale
+        # The bounds before the chunk enter through its first terms.
+        low = cmin[0] < vmin
+        if low:
+            cmin[0] = vmin
+        high = cmax[0] > vmax
+        if high:
+            cmax[0] = vmax
         lower = np.maximum.accumulate(cmin)
-        np.maximum(lower, vmin, out=lower)
         upper = np.minimum.accumulate(cmax)
-        np.minimum(upper, vmax, out=upper)
-        closes = (lower > cmax) | (upper < cmin)
-        steps = int(closes.argmax()) if closes.any() else sums.size
-        if steps:
-            # The last sample where each bound took its final value.
-            tight = cmin[steps - 1::-1] == lower[steps - 1]
-            if tight.any():
-                kminus = k + steps - int(tight.argmax())
-            tight = cmax[steps - 1::-1] == upper[steps - 1]
-            if tight.any():
-                kplus = k + steps - int(tight.argmax())
-            k += steps
-            n += steps
-            total += float(sums[steps - 1])
-            vmin = float(lower[steps - 1])
-            vmax = float(upper[steps - 1])
-        if steps < sums.size:
-            break
-        size *= 4
-    return k, total - n * vmin, total - n * vmax, vmin, vmax, kminus, kplus
+        # lower rises and upper falls, so the open steps come first.
+        opened = int(np.count_nonzero(lower <= upper))
+        if opened < steps:
+            before = lower[opened - 1] if opened else vmin
+            side = 1 if lower[opened] > before else -1
+        if opened:
+            j = opened - 1
+            # The last sample where the bound took its final value, but
+            # not a first term that only carried the bound in.
+            if side <= 0:
+                tight = cmin[j::-1] == lower[j]
+                i = int(tight.argmax())
+                if tight[i] and (i < j or not low):
+                    kminus = k + opened - i
+            if side >= 0:
+                tight = cmax[j::-1] == upper[j]
+                i = int(tight.argmax())
+                if tight[i] and (i < j or not high):
+                    kplus = k + opened - i
+            k += opened
+            n += opened
+            total += float(sums[j])
+            vmin = float(lower[j])
+            vmax = float(upper[j])
+        if side or k == last:
+            return k, total - n * vmin, total - n * vmax, vmin, vmax, kminus, kplus, side
+        size *= 2
 
 
 def _active_set(signs, samples, sigma, sigma_inv, lam):

@@ -509,6 +509,18 @@ class TestMeanCommand:
         assert out.exists() and res.exists()
         assert "no convergence" in capsys.readouterr().err
 
+    def test_certified_start_exits_ok_at_extreme_scale(self, tmp_path, capsys):
+        # At this scale the one verifying iteration misses the residual
+        # test by rounding; the estimate written is the certified
+        # optimum, so the run exits 0 with no warning.
+        data = tmp_path / "in.csv"
+        cli.write_matrix_csv(str(data), 1e12 * cli.generate_piecewise_data(63)[0])
+        code, out, res = run_mean(tmp_path, data, "--lambda-frac", "0.1")
+        assert code == cli.EXIT_OK
+        assert "warning:" not in capsys.readouterr().err
+        assert out.exists()
+        assert len(res.read_text().strip().splitlines()) == 2
+
     def test_missing_input(self, tmp_path):
         code, _, _ = run_mean(tmp_path, tmp_path / "absent.csv", "--lambda", "1")
         assert code == cli.EXIT_INPUT

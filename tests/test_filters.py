@@ -637,6 +637,100 @@ class TestTvScan:
         assert len(tried) <= 4
 
 
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5])
+    def test_pure_noise_matches_loop(self, monkeypatch, lam):
+        # Segments of one or two samples: the default hand-off keeps them
+        # in the loop, and scanning every one gives the same signs.
+        data = np.random.default_rng(36).normal(size=2000)
+        default = filters._STEP_LIMIT
+        looped = tv_signs(monkeypatch, data, lam, data.size)
+        for step_limit in (1, default):
+            assert np.array_equal(tv_signs(monkeypatch, data, lam, step_limit),
+                                  looped), step_limit
+
+    @pytest.mark.parametrize("lam", [0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("seed", [35, 36])
+    def test_long_and_short_segments_match_loop(self, monkeypatch, seed, lam):
+        # Runs of 1000-4000 samples alternate with spikes of 1-3, so the
+        # pass hands segments from the loop to the scan and back.
+        rng = np.random.default_rng(seed)
+        lengths = np.ravel(np.column_stack((rng.integers(1000, 4000, size=6),
+                                            rng.integers(1, 4, size=6))))
+        levels = np.ravel(np.column_stack((rng.uniform(-1.0, 1.0, size=6),
+                                           rng.choice([-50.0, 50.0], size=6))))
+        data = np.repeat(levels, lengths) + 0.01 * rng.normal(size=lengths.sum())
+        default = filters._STEP_LIMIT
+        looped = tv_signs(monkeypatch, data, lam, data.size)
+        runs = np.diff(np.flatnonzero(np.concatenate(([1.0], looped[:, 0], [1.0]))))
+        assert runs.max() >= 1000 and runs.min() <= 3
+        for step_limit in (1, default):
+            assert np.array_equal(tv_signs(monkeypatch, data, lam, step_limit),
+                                  looped), step_limit
+
+    def test_pure_noise_stays_in_the_loop(self, monkeypatch):
+        # Scanning each of thousands of one-sample segments costs an
+        # array pass apiece; at the default hand-off almost none is.
+        data = np.random.default_rng(37).normal(size=10000)
+        scan = filters._scan_open_segment
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3])
+            return scan(*args)
+
+        monkeypatch.setattr(filters, "_scan_open_segment", counted)
+        signs = filters._tv_partition(data[:, None], np.eye(1), 0.1)
+        assert np.count_nonzero(signs) > data.size // 2
+        assert len(calls) <= data.size // 100
+
+
+def census_series():
+    # 300 seeded scalar series: N from 2 to 3000, 1 to 10 segments with
+    # N(0, 9) levels plus unit noise, lambda log-uniform in [1e-3, 1e2];
+    # every fourth series is rounded to 0.1, which makes ties. Yields
+    # (data, lam, rounded).
+    rng = np.random.default_rng(5)
+    for i in range(300):
+        n_samples = int(rng.integers(2, 3001))
+        n_segments = int(rng.integers(1, min(n_samples, 10) + 1))
+        cuts = np.sort(rng.choice(np.arange(1, n_samples), size=n_segments - 1,
+                                  replace=False))
+        lengths = np.diff(np.concatenate(([0], cuts, [n_samples])))
+        data = (np.repeat(rng.normal(0.0, 3.0, size=n_segments), lengths)
+                + rng.normal(size=n_samples))
+        lam = 10.0 ** rng.uniform(-3.0, 2.0)
+        rounded = i % 4 == 0
+        yield (np.round(data, 1) if rounded else data), lam, rounded
+
+
+class TestFirstPartitionCensus:
+    """Over a seeded census of scalar series, ties included, every start
+    certifies, and the first partition certifies at least as often as
+    with the one-sample loop alone and 128 loop steps before each scan."""
+
+    # Series certified on the first partition with that earlier pass.
+    EARLIER = {1.0: 300, 1e-8: 300, 1e12: 300}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e12])
+    def test_census(self, monkeypatch, scale):
+        default = filters._STEP_LIMIT
+        tried = count_partition_solves(monkeypatch)
+        first = 0
+        for data, lam, rounded in census_series():
+            data, lam = scale * data, scale * lam
+            if not rounded:
+                # Without ties the pass gives the loop's signs exactly.
+                looped = tv_signs(monkeypatch, data, lam, data.size)
+                assert np.array_equal(tv_signs(monkeypatch, data, lam, default),
+                                      looped)
+            monkeypatch.setattr(filters, "_STEP_LIMIT", default)
+            tried.clear()
+            _, report = mean_filter(data, MeanFilterSpec(lam=lam))
+            assert report.polished
+            first += len(tried) == 1
+        assert first >= self.EARLIER[scale]
+
+
 class TestDiagonalLevels:
     """With a diagonal sigma the partition solve takes each segment's
     level in closed form; a correlated sigma keeps the banded solve."""
