@@ -24,8 +24,9 @@ from .exceptions import (NumericalFailureError, UnboundedProblemError,
 _MAX_PATTERNS = 50
 
 # Steps the TV pass takes one sample at a time in an open segment before
-# it hands the segment to the array scan. A segment whose restart region
-# alone is longer is scanned from its first sample.
+# it hands the segment to the array scan. Segments the pass predicts to
+# be long skip the loop (see _tv_partition); a limit of 1 scans nearly
+# everything, one of N or more scans nothing.
 _STEP_LIMIT = 64
 
 # Level differences the TV pass counts as ties, relative to the largest
@@ -133,10 +134,11 @@ def mean_filter(data, spec, config=None):
       partition with weight ``sigma[c, c] * lam`` (Condat's direct
       algorithm: it steps one sample at a time through short segments,
       hands a segment still open after 64 steps to array scans that
-      find its close, and scans a segment from its first sample when
-      the restart region before it is longer than that), which is the
-      optimum's partition when sigma is diagonal and a first guess
-      otherwise. A certified optimum x* with multipliers P starts the
+      find its close, and scans from its first sample a segment it
+      predicts to be long, the first one and any that follows a
+      restart region of more than 16 samples), which is the optimum's
+      partition when sigma is diagonal and a first guess otherwise. A
+      certified optimum x* with multipliers P starts the
       iteration at its exact fixed point, z = x*, s = Dx*,
       u = sigma^{-1} (y - x*) / rho and t = -P / rho, and exactly one
       iteration verifies it (``report.iterations == 1``,
@@ -223,16 +225,19 @@ def _tv_partition(samples, sigma, lam):
     # (umin, umax) at each bound; when one leaves [-w, w] the segment
     # closes at that bound, at the last sample where its dual was tight,
     # and the next one restarts just after it. The samples from there to
-    # the closing step, the restart region, are walked again: the next
-    # segment never closes before that step. Only each segment's end and
-    # level are recorded.
+    # the step that closed it, the restart region, are walked again, and
+    # in practice the next segment does not close before that step
+    # either. Only each segment's end and level are recorded.
     #
     # The loop walks an open segment one sample at a time for at most
     # _STEP_LIMIT steps, which is cheapest for short segments; a segment
     # still open is handed to _scan_open_segment, which carries it to
-    # its close. A segment whose restart region is longer than the limit
-    # would reach the hand-off anyway, so it is scanned from its first
-    # sample. Jumps within rounding of the largest level count as ties.
+    # its close. Two kinds of segment skip the loop and are scanned from
+    # their first sample: the first one of a series longer than the
+    # limit, which has nothing to go by, and one whose restart region
+    # after a scanned close is longer than a quarter of the limit, since
+    # it must walk that region and long walks follow long regions. Jumps
+    # within rounding of the largest level count as ties.
     signs = np.zeros_like(samples[1:])
     counts = np.arange(1.0, samples.shape[0] + 1.0)
     limit = _STEP_LIMIT
@@ -246,7 +251,11 @@ def _tv_partition(samples, sigma, lam):
         k = k0 = kminus = kplus = 0
         umin, umax = w, minus_w
         vmin, vmax = y[0] - w, y[0] + w
-        stop = min(last, limit)
+        if limit < last:
+            # Scan the first segment; its dual starts at 0.
+            stop, dual, region = 0, 0.0, 0
+        else:
+            stop = last
         while True:
             while k < stop:
                 k += 1
@@ -281,39 +290,35 @@ def _tv_partition(samples, sigma, lam):
                     umax = minus_w
             if k < last:
                 if k == k0:
-                    # A fresh segment: its level is unbounded before its
-                    # first sample, and its dual starts at `start`.
+                    # A fresh segment: no sample yet bounds its level, and
+                    # its dual starts at `dual`.
                     k, umin, umax, vmin, vmax, kminus, kplus, side = _scan_open_segment(
-                        column, counts, w, k0 - 1, k0, start, -np.inf, np.inf,
-                        k0, k0, max(8 * limit, 2 * lag))
-                elif vmin <= vmax:
+                        column, counts, w, k0 - 1, k0, dual, -np.inf, np.inf,
+                        k0, k0, max(4 * limit, 2 * region))
+                else:
                     k, umin, umax, vmin, vmax, kminus, kplus, side = _scan_open_segment(
                         column, counts, w, k, k0, umin + (k - k0 + 1) * vmin, vmin,
-                        vmax, kminus, kplus, max(8 * limit, 2 * (k - k0 + 1)))
-                else:
-                    # Rounding crossed the bounds: walk on.
-                    stop = min(last, k + limit)
-                    continue
+                        vmax, kminus, kplus, 4 * limit)
                 if side:
                     # The scan closed the segment; k + 1 is the closing step.
                     if side < 0:
-                        lag = k - kminus
+                        region = k + 1 - kminus
                         ends.append(kminus)
                         levels.append(vmin)
                         k = k0 = kminus = kplus = kminus + 1
                         vmin = y[k]
                         vmax = vmin + 2.0 * w
-                        start = w
+                        dual = w
                     else:
-                        lag = k - kplus
+                        region = k + 1 - kplus
                         ends.append(kplus)
                         levels.append(vmax)
                         k = k0 = kminus = kplus = kplus + 1
                         vmax = y[k]
                         vmin = vmax - 2.0 * w
-                        start = minus_w
+                        dual = minus_w
                     umin, umax = w, minus_w
-                    stop = k0 if lag > limit else min(last, k0 + limit)
+                    stop = k0 if 4 * region > limit else min(last, k0 + limit)
                     continue
             # The right end: the open segment's dual must end at 0.
             if umin < 0.0:
@@ -343,9 +348,10 @@ def _tv_partition(samples, sigma, lam):
 def _scan_open_segment(y, counts, w, k, k0, total, vmin, vmax, kminus, kplus, size):
     # _tv_partition's loop over the open segment y[k0..k], run as array
     # scans in chunks of `size` samples, doubling, until the segment
-    # closes or the series ends. With n = j - k0 + 1 samples at sample j,
-    # T = umin + n * vmin = umax + n * vmax is the segment's sum plus the
-    # dual it started with (`total`, passed in at k). The loop's updates
+    # closes or the series ends (k = k0 - 1 scans a fresh segment). With
+    # n = j - k0 + 1 samples at sample j, T = umin + n * vmin =
+    # umax + n * vmax is the segment's sum plus the dual it started with
+    # (`total`, passed in at k). The loop's updates
     # set vmin = max(vmin, (T - w) / n) and vmax = min(vmax, (T + w) / n),
     # moving kminus or kplus to j where the new term is the bound (ties
     # go to the later sample). A step closes the segment exactly when the
@@ -383,14 +389,12 @@ def _scan_open_segment(y, counts, w, k, k0, total, vmin, vmax, kminus, kplus, si
             # The last sample where the bound took its final value, but
             # not a first term that only carried the bound in.
             if side <= 0:
-                tight = cmin[j::-1] == lower[j]
-                i = int(tight.argmax())
-                if tight[i] and (i < j or not low):
+                i = int(cmin[j::-1].argmax())
+                if i < j or not low:
                     kminus = k + opened - i
             if side >= 0:
-                tight = cmax[j::-1] == upper[j]
-                i = int(tight.argmax())
-                if tight[i] and (i < j or not high):
+                i = int(cmax[j::-1].argmin())
+                if i < j or not high:
                     kplus = k + opened - i
             k += opened
             n += opened
