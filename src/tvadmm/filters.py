@@ -300,23 +300,20 @@ def _tv_partition(samples, sigma, lam):
                         column, counts, w, k, k0, umin + (k - k0 + 1) * vmin, vmin,
                         vmax, kminus, kplus, 4 * limit)
                 if side:
-                    # The scan closed the segment; k + 1 is the closing step.
-                    if side < 0:
-                        region = k + 1 - kminus
-                        ends.append(kminus)
-                        levels.append(vmin)
-                        k = k0 = kminus = kplus = kminus + 1
-                        vmin = y[k]
-                        vmax = vmin + 2.0 * w
-                        dual = w
-                    else:
-                        region = k + 1 - kplus
-                        ends.append(kplus)
-                        levels.append(vmax)
-                        k = k0 = kminus = kplus = kplus + 1
+                    # The scan closed the segment at kminus (side -1) or
+                    # kplus (1); k + 1 is the closing step.
+                    end = kplus if side > 0 else kminus
+                    ends.append(end)
+                    levels.append(vmax if side > 0 else vmin)
+                    region = k + 1 - end
+                    k = k0 = kminus = kplus = end + 1
+                    if side > 0:
                         vmax = y[k]
                         vmin = vmax - 2.0 * w
-                        dual = minus_w
+                    else:
+                        vmin = y[k]
+                        vmax = vmin + 2.0 * w
+                    dual = -side * w
                     umin, umax = w, minus_w
                     stop = k0 if 4 * region > limit else min(last, k0 + limit)
                     continue
@@ -351,16 +348,16 @@ def _scan_open_segment(y, counts, w, k, k0, total, vmin, vmax, kminus, kplus, si
     # closes or the series ends (k = k0 - 1 scans a fresh segment). With
     # n = j - k0 + 1 samples at sample j, T = umin + n * vmin =
     # umax + n * vmax is the segment's sum plus the dual it started with
-    # (`total`, passed in at k). The loop's updates
-    # set vmin = max(vmin, (T - w) / n) and vmax = min(vmax, (T + w) / n),
-    # moving kminus or kplus to j where the new term is the bound (ties
-    # go to the later sample). A step closes the segment exactly when the
-    # updated bounds cross, vmin > vmax; the bound that stayed put is the
-    # closing side. Each chunk sums its own samples from zero, so a fresh
-    # segment's sums are its own. Returns the loop's state (k, umin,
-    # umax, vmin, vmax, kminus, kplus) after the last step that leaves
-    # the segment open, and the closing side: -1 at kminus with level
-    # vmin, 1 at kplus with level vmax, 0 when the series ends first.
+    # (`total` at k). The loop's updates set vmin = max(vmin, (T - w) / n)
+    # and vmax = min(vmax, (T + w) / n), moving kminus or kplus to j
+    # where the new term is the bound (ties go to the later sample). A
+    # step closes the segment exactly when the updated bounds cross,
+    # vmin > vmax; the bound that stayed put is the closing side. Each
+    # chunk sums its own samples from zero, so a fresh segment's sums are
+    # its own. Returns the loop's state (k, umin, umax, vmin, vmax,
+    # kminus, kplus) after the last step that leaves the segment open,
+    # and the closing side: -1 at kminus with level vmin, 1 at kplus with
+    # level vmax, 0 when the series ends first.
     last = y.size - 1
     n = k - k0 + 1
     side = 0
