@@ -636,7 +636,6 @@ class TestTvScan:
         assert report.polished and report.iterations == 1
         assert len(tried) <= 4
 
-
     @pytest.mark.parametrize("lam", [0.01, 0.1, 0.5])
     def test_pure_noise_matches_loop(self, monkeypatch, lam):
         # Segments of one or two samples: the default hand-off keeps them
@@ -675,7 +674,7 @@ class TestTvScan:
         calls = []
 
         def counted(*args):
-            calls.append(args[3])
+            calls.append(args)
             return scan(*args)
 
         monkeypatch.setattr(filters, "_scan_open_segment", counted)
@@ -706,9 +705,10 @@ def census_series():
 class TestFirstPartitionCensus:
     """Over a seeded census of scalar series, ties included, every start
     certifies, and the first partition certifies at least as often as
-    with the one-sample loop alone and 128 loop steps before each scan."""
+    with the earlier pass, which walked 128 loop steps of every segment
+    before its scan and took each closing step in the loop."""
 
-    # Series certified on the first partition with that earlier pass.
+    # Series certified on the first partition by that earlier pass.
     EARLIER = {1.0: 300, 1e-8: 300, 1e12: 300}
 
     @pytest.mark.parametrize("scale", [1.0, 1e-8, 1e12])
