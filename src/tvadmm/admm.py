@@ -245,10 +245,10 @@ def solve(problem, config=None, initial=None, callback=None):
     targets = np.empty(stacked)
     scratch = np.empty(stacked)
     if initial is not None:
-        zs[:n] = np.reshape(initial.z, (n, d))
-        zs[n:] = np.reshape(initial.s, (n - 1, d))
-        ut[:n] = np.reshape(initial.u, (n, d))
-        ut[n:] = np.reshape(initial.t, (n - 1, d))
+        zs[:n] = np.asarray(initial.z).reshape(n, d)
+        zs[n:] = np.asarray(initial.s).reshape(n - 1, d)
+        ut[:n] = np.asarray(initial.u).reshape(n, d)
+        ut[n:] = np.asarray(initial.t).reshape(n - 1, d)
     x, r = xr[:n], xr[n:]
 
     phi, psi = problem.phi_prox_batch, problem.psi_prox_batch

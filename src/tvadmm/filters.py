@@ -132,19 +132,14 @@ def mean_filter(data, spec, config=None):
 
     - the start takes each component's exact 1-D total variation
       partition with weight ``sigma[c, c] * lam`` (Condat's direct
-      algorithm: it steps one sample at a time through short segments,
-      hands a segment still open after 64 steps to array scans that
-      find its close, and scans from its first sample a segment it
-      predicts to be long, the first one and any that follows a
-      restart region of more than 16 samples), which is the optimum's
-      partition when sigma is diagonal and a first guess otherwise. A
-      certified optimum x* with multipliers P starts the
-      iteration at its exact fixed point, z = x*, s = Dx*,
+      algorithm), the optimum's partition when sigma is diagonal and a
+      first guess otherwise. A certified optimum x* with multipliers P
+      starts the iteration at its exact fixed point, z = x*, s = Dx*,
       u = sigma^{-1} (y - x*) / rho and t = -P / rho, and exactly one
-      iteration verifies it (``report.iterations == 1``,
-      one ``history`` row). That iteration meets the unchanged residual
-      test unless rounding at an extreme data scale breaks it, in which
-      case ``report.converged`` is False; x* is returned either way;
+      iteration verifies it (``report.iterations == 1``, one ``history``
+      row). That iteration meets the unchanged residual test unless
+      rounding at an extreme data scale breaks it, in which case
+      ``report.converged`` is False; x* is returned either way;
     - the polish, only when the start fails, runs after a cold iteration
       from zero, from the exact zeros of the difference prox at the
       final iterate.
@@ -173,46 +168,43 @@ def mean_filter(data, spec, config=None):
     if config is None:
         config = SolverConfig()
     samples, was_1d = _as_series(data)
-    dim = samples.shape[1]
-    sigma = prox.noise_covariance(spec.sigma, dim)
     lam = spec.lam
-    config = replace(config, rho=_resolve_rho(config, lam))
-    cache = prox.gaussian_prox_cache(sigma, samples, config.rho)
+    rho = _resolve_rho(config, lam)
+    cache = prox.gaussian_prox_cache(spec.sigma, samples, rho)
+    sigma = cache.sigma
     problem = _build_mean_problem(samples, cache, lam, spec.penalty)
-    polishable = spec.penalty is Penalty.ELEMENTWISE or dim == 1
+    polishable = spec.penalty is Penalty.ELEMENTWISE or samples.shape[1] == 1
     candidate = gap = None
     if polishable:
         candidate, multipliers, gap = _active_set(
             _tv_partition(samples, sigma, lam), samples, sigma, cache.sigma_inv, lam)
     if candidate is not None:
         # One iteration verifies the certified start, whatever it reports.
-        report = solve(problem, replace(config, max_iter=1),
+        report = solve(problem, replace(config, rho=rho, max_iter=1),
                        initial=_fixed_point(candidate, multipliers, samples, cache))
     else:
-        report = solve(problem, config)
+        report = solve(problem, replace(config, rho=rho))
         if polishable:
             state = report.state
-            signs = np.sign(problem.psi_prox_batch(state.s - state.t, config.rho))
+            signs = np.sign(problem.psi_prox_batch(state.s - state.t, rho))
             candidate, _, gap = _active_set(signs, samples, sigma, cache.sigma_inv, lam)
 
     report.certificate_gap = gap
     if candidate is not None:
         report.x_star = candidate
         report.polished = True
-        report.objective_trace = np.append(report.objective_trace, problem.objective(
-            candidate, np.diff(candidate, axis=0)))
+        report.objective_trace = np.concatenate((report.objective_trace, [problem.objective(
+            candidate, candidate[1:] - candidate[:-1])]))
     estimates = report.x_star[:, 0] if was_1d else report.x_star
     return estimates, report
 
 
 def _fixed_point(candidate, multipliers, samples, cache):
-    # The engine's exact fixed point at a certified x* with multipliers P:
-    # z = x*, s = Dx*, u = sigma^{-1} (y - x*) / rho and t = -P / rho.
-    # Then u + D^T t = 0, so the projection returns (z, s), and P in
-    # lam * sign(Dx*) makes both prox maps return (z, s) too: one
-    # iteration meets the residual test.
-    return SolverState(z=candidate, s=np.diff(candidate, axis=0),
-                       u=(samples - candidate) @ cache.sigma_inv / cache.rho,
+    # The engine's exact fixed point at a certified x* with multipliers P
+    # (see mean_filter): u + D^T t = 0, so the projection returns (z, s),
+    # and P in lam * sign(Dx*) makes both prox maps return (z, s) too.
+    return SolverState(z=candidate, s=candidate[1:] - candidate[:-1],
+                       u=np.dot(samples - candidate, cache.sigma_inv) / cache.rho,
                        t=-multipliers / cache.rho)
 
 
@@ -225,38 +217,37 @@ def _tv_partition(samples, sigma, lam):
     # (umin, umax) at each bound; when one leaves [-w, w] the segment
     # closes at that bound, at the last sample where its dual was tight,
     # and the next one restarts just after it. The samples from there to
-    # the step that closed it, the restart region, are walked again, and
-    # in practice the next segment does not close before that step
-    # either. Only each segment's end and level are recorded.
+    # the step that closed it, the restart region, are walked again; in
+    # practice the next segment does not close before that step either.
     #
     # The loop walks an open segment one sample at a time for at most
-    # _STEP_LIMIT steps, which is cheapest for short segments; a segment
-    # still open is handed to _scan_open_segment, which carries it to
-    # its close. Two kinds of segment skip the loop and are scanned from
-    # their first sample: the first one of a series longer than the
-    # limit, which has nothing to go by, and one whose restart region
-    # after a scanned close is longer than a quarter of the limit, since
-    # it must walk that region and long walks follow long regions. Jumps
-    # within rounding of the largest level count as ties.
-    signs = np.zeros_like(samples[1:])
+    # _STEP_LIMIT steps, cheapest for short segments, and hands one still
+    # open to _scan_open_segment, which carries it to its close. The
+    # first segment of a series longer than the limit, and one whose
+    # restart region after a scanned close is longer than a quarter of
+    # the limit (long walks follow long regions), are scanned from their
+    # first sample (stop = -1). Only samples a walk can reach, up to
+    # `edge`, become Python floats. Jumps within rounding of the largest
+    # level count as ties; only each segment's end and level are kept.
     counts = np.arange(1.0, samples.shape[0] + 1.0)
     limit = _STEP_LIMIT
+    last = samples.shape[0] - 1
+    ends, levels, firsts = [], [], []
     for c in range(samples.shape[1]):
+        firsts.append(len(levels))
         column = samples[:, c]
-        y = column.tolist()
+        y = [float(column[0])] + [None] * last
         w = float(sigma[c, c]) * lam
         minus_w = -w
-        last = len(y) - 1
-        ends, levels = [], []
-        k = k0 = kminus = kplus = 0
+        k = k0 = kminus = kplus = edge = 0
         umin, umax = w, minus_w
         vmin, vmax = y[0] - w, y[0] + w
-        if limit < last:
-            # Scan the first segment; its dual starts at 0.
-            stop, dual, region = 0, 0.0, 0
-        else:
-            stop = last
+        # Scan the first segment of a long series; its dual starts at 0.
+        stop, dual, region = -1 if limit < last else last, 0.0, 0
         while True:
+            if k < stop > edge:
+                begin, edge = max(k, edge) + 1, min(last, stop + limit)
+                y[begin:edge + 1] = column[begin:edge + 1].tolist()
             while k < stop:
                 k += 1
                 following = y[k]
@@ -268,7 +259,7 @@ def _tv_partition(samples, sigma, lam):
                     vmin = y[k]
                     vmax = vmin + 2.0 * w
                     umin, umax = w, minus_w
-                    stop = min(last, k0 + limit)
+                    stop = min(edge, k0 + limit)
                     continue
                 umax += following - vmax
                 if umax > w:
@@ -278,7 +269,7 @@ def _tv_partition(samples, sigma, lam):
                     vmax = y[k]
                     vmin = vmax - 2.0 * w
                     umin, umax = w, minus_w
-                    stop = min(last, k0 + limit)
+                    stop = min(edge, k0 + limit)
                     continue
                 if umin >= w:
                     kminus = k
@@ -288,6 +279,9 @@ def _tv_partition(samples, sigma, lam):
                     kplus = k
                     vmax += (umax + w) / (k - k0 + 1)
                     umax = minus_w
+            if stop == edge < last and stop < k0 + limit:
+                stop = min(last, k0 + limit)  # more samples to convert
+                continue
             if k < last:
                 if k == k0:
                     # A fresh segment: no sample yet bounds its level, and
@@ -307,39 +301,40 @@ def _tv_partition(samples, sigma, lam):
                     levels.append(vmax if side > 0 else vmin)
                     region = k + 1 - end
                     k = k0 = kminus = kplus = end + 1
-                    if side > 0:
-                        vmax = y[k]
-                        vmin = vmax - 2.0 * w
-                    else:
-                        vmin = y[k]
-                        vmax = vmin + 2.0 * w
+                    value = float(column[k])
+                    vmin, vmax = ((value - 2.0 * w, value) if side > 0
+                                  else (value, value + 2.0 * w))
                     dual = -side * w
                     umin, umax = w, minus_w
-                    stop = k0 if 4 * region > limit else min(last, k0 + limit)
+                    stop = -1 if 4 * region > limit else min(last, k0 + limit)
                     continue
             # The right end: the open segment's dual must end at 0.
             if umin < 0.0:
                 ends.append(kminus)
                 levels.append(vmin)
                 k = k0 = kminus = kminus + 1
-                vmin, umin = y[k], w
+                vmin, umin = float(column[k]), w
                 umax = vmin + w - vmax
             elif umax > 0.0:
                 ends.append(kplus)
                 levels.append(vmax)
                 k = k0 = kplus = kplus + 1
-                vmax, umax = y[k], minus_w
+                vmax, umax = float(column[k]), minus_w
                 umin = vmax - w - vmin
             else:
                 ends.append(k)
                 levels.append(vmin + umin / (k - k0 + 1))
                 break
             stop = min(last, k0 + limit)
-        levels = np.array(levels)
-        jumps = levels[1:] - levels[:-1]
-        jumps[np.abs(jumps) <= _TIE * np.abs(levels).max()] = 0.0
-        signs[ends[:-1], c] = np.sign(jumps)
-    return signs
+    # A column's last segment ends at N - 1: its jump lands in a spare row.
+    levels = np.array(levels)
+    columns = np.add.accumulate(np.bincount(firsts[1:], minlength=levels.size))[:-1]
+    jumps = levels[1:] - levels[:-1]
+    tops = np.maximum.reduceat(np.abs(levels), firsts)
+    jumps[np.abs(jumps) <= _TIE * tops[columns]] = 0.0
+    signs = np.zeros_like(samples)
+    signs[ends[:-1], columns] = np.sign(jumps)
+    return signs[:-1]
 
 
 def _scan_open_segment(y, counts, w, k, k0, total, vmin, vmax, kminus, kplus, size):
@@ -420,6 +415,7 @@ def _active_set(signs, samples, sigma, sigma_inv, lam):
     # inf when that solve failed.
     tried = set()
     gaps = []
+    weighted = float(np.abs(np.dot(samples, sigma_inv)).sum())
     while len(tried) < _MAX_PATTERNS:
         pattern = signs.tobytes()
         if pattern in tried:
@@ -430,11 +426,11 @@ def _active_set(signs, samples, sigma, sigma_inv, lam):
             gaps.append(np.inf)
             break
         gap, slack, multipliers = _mean_certificate(candidate, samples,
-                                                    sigma_inv, lam)
+                                                    sigma_inv, lam, weighted)
         if gap <= slack:
             return candidate, multipliers, gap
         gaps.append(gap)
-        heights = signs * np.diff(candidate, axis=0)
+        heights = signs * (candidate[1:] - candidate[:-1])
         signs = np.where(heights > 0.0, signs, np.where(
             (signs == 0.0) & (np.abs(multipliers) > lam), np.sign(multipliers), 0.0))
     return None, None, gaps[0]
@@ -451,6 +447,9 @@ def _solve_on_partition(signs, samples, sigma, lam):
     # plus sigma[c, c] * lam * (s_out - s_in) (its turn), with s_out and
     # s_in the signs of the jumps leaving and entering it (0 at the
     # series ends), so each level is that over the segment's length.
+    # One pass serves all components, flattened column by column, where
+    # `entering` (0 at each column's start and in a trailing slot) holds
+    # s_in at each segment's start, and so s_out at the next one's.
     #
     # Otherwise the free multipliers (I) make r vanish inside the
     # segments:
@@ -460,16 +459,18 @@ def _solve_on_partition(signs, samples, sigma, lam):
     # Returns None when LAPACK finds the system not positive definite.
     n_samples, dim = samples.shape
     if np.count_nonzero(sigma) == dim:
-        candidate = np.empty_like(samples)
-        for c in range(dim):
-            cuts = np.flatnonzero(signs[:, c])
-            starts = np.concatenate(([0], cuts + 1))
-            lengths = np.diff(starts, append=n_samples)
-            turns = np.diff(signs[cuts, c], prepend=0.0, append=0.0)
-            levels = (np.add.reduceat(samples[:, c], starts)
-                      + sigma[c, c] * lam * turns) / lengths
-            candidate[:, c] = np.repeat(levels, lengths)
-        return candidate
+        entering = np.zeros(dim * n_samples + 1)
+        entering[:-1].reshape(dim, n_samples)[:, 1:] = signs.T
+        cut = entering != 0.0
+        cut[::n_samples] = True
+        bounds = np.flatnonzero(cut)
+        starts = bounds[:-1]
+        lengths = bounds[1:] - starts
+        edge = entering[bounds]
+        levels = (np.add.reduceat(samples.T.ravel(), starts)
+                  + (np.diagonal(sigma) * lam)[starts // n_samples]
+                  * (edge[1:] - edge[:-1])) / lengths
+        return np.ascontiguousarray(np.repeat(levels, lengths).reshape(dim, n_samples).T)
 
     jumps = signs != 0.0
     edge = np.zeros((1, dim))
@@ -509,23 +510,22 @@ def _solve_on_partition(signs, samples, sigma, lam):
     return levels[labels]
 
 
-def _mean_certificate(x, samples, sigma_inv, lam):
+def _mean_certificate(x, samples, sigma_inv, lam, weighted):
     # Largest violation of the elementwise optimality conditions at x, the
     # slack it is held to (a small multiple of the textbook rounding bound
-    # N * eps * sum|terms| for the partial sums being checked), and the
-    # multipliers P_1..P_{N-1}, one row per difference.
-    grad = (x - samples) @ sigma_inv
-    partial = np.cumsum(grad, axis=0)
+    # N * eps * sum|terms| for the partial sums being checked, with
+    # weighted = sum |samples sigma^{-1}|), and the multipliers
+    # P_1..P_{N-1}, one row per difference. A free multiplier's violation
+    # |P| - lam may be negative: the gap is at least |P_N| anyway.
+    grad = np.dot(x - samples, sigma_inv)
+    partial = np.add.accumulate(grad, axis=0)
     inner = partial[:-1]
     r = x[1:] - x[:-1]
-    violation = np.where(
-        r != 0.0,
-        np.abs(inner - lam * np.sign(r)),
-        np.maximum(np.abs(inner) - lam, 0.0),
-    )
+    violation = np.abs(inner - lam * np.sign(r))
+    np.subtract(violation, lam, out=violation, where=r == 0.0)
     gap = float(max(np.abs(partial[-1]).max(),
                     violation.max() if violation.size else 0.0))
-    scale = lam + float(np.abs(grad).sum()) + float(np.abs(samples @ sigma_inv).sum())
+    scale = lam + float(np.abs(grad).sum()) + weighted
     return gap, 16.0 * x.shape[0] * np.finfo(float).eps * scale, inner
 
 

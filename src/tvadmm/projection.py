@@ -58,9 +58,11 @@ def chain_factor(n_blocks):
     band[0, 0] -= 1.0
     band[0, -1] -= 1.0
     band[1, :-1] = -1.0
-    # dpttrf, like dpttrs, wants max(N - 1, 1) subdiagonal entries.
+    # dpttrf, like dpttrs, wants max(N - 1, 1) subdiagonal entries; it
+    # factors the contiguous rows in place.
     sub = max(n_blocks - 1, 1)
-    band[0], band[1, :sub], info = dpttrf(band[0], band[1, :sub])
+    band[0], band[1, :sub], info = dpttrf(band[0], band[1, :sub],
+                                          overwrite_d=True, overwrite_e=True)
     if info != 0:
         raise ValueError("dpttrf failed with info %d" % info)
     return ChainCholesky(n_blocks=n_blocks, band=band)

@@ -25,14 +25,16 @@ class GaussianProxCache:
           = offset_i + gain @ target,
 
     with the symmetric ``gain`` = rho (sigma^{-1} + rho I)^{-1} and row i
-    of ``offset`` = (sigma^{-1} + rho I)^{-1} sigma^{-1} y_i. So the prox
-    of all blocks is one matrix multiply and one add.
+    of ``offset`` = M y_i for the n x n M = (sigma^{-1} + rho I)^{-1}
+    sigma^{-1}. So the prox of all blocks is one matrix multiply and one
+    add. ``sigma`` is the checked, symmetrized covariance.
     """
 
     rho: float
     sigma_inv: np.ndarray
     gain: np.ndarray
     offset: np.ndarray
+    sigma: np.ndarray
 
 
 def noise_covariance(sigma, dim):
@@ -48,6 +50,9 @@ def noise_covariance(sigma, dim):
 def gaussian_prox_cache(sigma, samples, rho):
     """Build a :class:`GaussianProxCache` for the given problem data.
 
+    Every LAPACK solve has an n x n right-hand side; the offset is one
+    product of the (N, n) samples with M^T, the only cost that grows with N.
+
     Parameters
     ----------
     sigma : (n, n) array_like or None
@@ -61,20 +66,15 @@ def gaussian_prox_cache(sigma, samples, rho):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     n = samples.shape[1]
     sigma = noise_covariance(sigma, n)
-    sigma_factor = linalg.spd_factor(sigma)
-    sigma_inv = linalg.spd_solve(sigma_factor, np.eye(n))
+    eye = np.eye(n)
+    sigma_inv = linalg.spd_solve(linalg.spd_factor(sigma), eye)
     sigma_inv = 0.5 * (sigma_inv + sigma_inv.T)
-    sigma_inv_y = linalg.spd_solve(sigma_factor, samples.T)
-    system_factor = linalg.spd_factor(sigma_inv + rho * np.eye(n))
-    gain = linalg.spd_solve(system_factor, rho * np.eye(n))
-    gain = 0.5 * (gain + gain.T)
-    offset = linalg.spd_solve(system_factor, sigma_inv_y).T
-    return GaussianProxCache(
-        rho=rho,
-        sigma_inv=sigma_inv,
-        gain=gain,
-        offset=np.ascontiguousarray(offset),
-    )
+    system_factor = linalg.spd_factor(sigma_inv + rho * eye)
+    gain = linalg.spd_solve(system_factor, rho * eye)
+    shrink = linalg.spd_solve(system_factor, sigma_inv)
+    return GaussianProxCache(rho=rho, sigma_inv=sigma_inv,
+                             gain=0.5 * (gain + gain.T),
+                             offset=np.dot(samples, shrink.T), sigma=sigma)
 
 
 def prox_gaussian(cache, targets):

@@ -144,6 +144,29 @@ def partition_optimum(samples, sigma, lam, jumps, signs):
     return np.linalg.solve(kkt, rhs)[:n * dim].reshape(n, dim)
 
 
+def diagonal_partition_levels(signs, samples, sigma, lam):
+    """The candidate of the partition-constrained mean problem for a
+    diagonal ``sigma``, solved one component at a time in closed form.
+
+    ``signs`` (N - 1, n) holds the jump signs, 0 where the estimate must
+    not jump. Each segment's level is its sum of y plus
+    ``sigma[c, c] * lam * (s_out - s_in)``, over its length, where s_in
+    and s_out are the signs of the jumps entering and leaving it (0 at
+    the series ends).
+    """
+    n_samples, dim = samples.shape
+    candidate = np.empty_like(samples)
+    for c in range(dim):
+        cuts = np.flatnonzero(signs[:, c])
+        starts = np.concatenate(([0], cuts + 1))
+        lengths = np.diff(starts, append=n_samples)
+        turns = np.diff(signs[cuts, c], prepend=0.0, append=0.0)
+        levels = (np.add.reduceat(samples[:, c], starts)
+                  + sigma[c, c] * lam * turns) / lengths
+        candidate[:, c] = np.repeat(levels, lengths)
+    return candidate
+
+
 def variance_objective(precisions, grams, lam, penalty):
     """The variance filter's objective written out directly:
     sum_i [tr(X_i G_i) - log det X_i] + lam * sum_i pen(X_{i+1} - X_i),

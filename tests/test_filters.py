@@ -3,9 +3,10 @@ import pytest
 
 from dataclasses import replace
 
-from oracles import (bisect_lambda_max, fused_lasso_dual, objective_schedule,
-                     partition_optimum, variance_objective)
-from tvadmm import SolverConfig, admm, filters, prox
+from oracles import (bisect_lambda_max, diagonal_partition_levels,
+                     fused_lasso_dual, objective_schedule, partition_optimum,
+                     variance_objective)
+from tvadmm import SolverConfig, admm, filters, linalg, prox
 from tvadmm.cli import generate_piecewise_data
 from tvadmm.exceptions import NumericalFailureError, UnboundedProblemError
 from tvadmm.filters import (
@@ -336,9 +337,10 @@ class TestPolish:
         data = np.random.default_rng(13).normal(size=(30, 1))
         lam = 10.0 * lambda_max_mean(data)
         best = np.full_like(data, data.mean())
-        gap, slack, _ = _mean_certificate(best, data, np.eye(1), lam)
+        weighted = float(np.abs(data).sum())
+        gap, slack, _ = _mean_certificate(best, data, np.eye(1), lam, weighted)
         assert gap <= slack
-        gap, slack, _ = _mean_certificate(best + 0.1, data, np.eye(1), lam)
+        gap, slack, _ = _mean_certificate(best + 0.1, data, np.eye(1), lam, weighted)
         assert gap == pytest.approx(3.0) and gap > slack
 
     @pytest.mark.parametrize("dim, sigma_kind", [
@@ -436,6 +438,24 @@ class TestCertifiedStart:
             for c in range(data.shape[1]):
                 oracle = fused_lasso_dual(data[:, c], spec.sigma[c, c] * spec.lam)
                 assert np.abs(estimates[:, c] - oracle).max() <= 1e-7
+
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "correlated"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_prox_cache_solves_n_columns(self, monkeypatch, kind, seed):
+        # The prox cache's LAPACK solves take n x n right-hand sides; the
+        # offset is one product, so no solve grows with N.
+        data, spec = random_mean_case(seed, kind)
+        spd_solve = linalg.spd_solve
+        columns = []
+
+        def counted(factor, b):
+            columns.append(np.shape(b)[1] if np.ndim(b) == 2 else 1)
+            return spd_solve(factor, b)
+
+        monkeypatch.setattr(linalg, "spd_solve", counted)
+        _, report = mean_filter(data, spec)
+        assert report.polished and report.iterations == 1
+        assert columns and max(columns) <= data.shape[1] < data.shape[0]
 
     @pytest.mark.parametrize("kind", ["identity", "correlated", "scalar group"])
     def test_start_is_an_engine_fixed_point(self, monkeypatch, kind):
@@ -731,6 +751,25 @@ class TestFirstPartitionCensus:
         assert first >= self.EARLIER[scale]
 
 
+def diagonal_case(pattern, dim, scale, n_samples):
+    # A diagonal sigma, samples at the given scale and a sign pattern
+    # that need not be optimal: random jumps, jumps at the first and
+    # last difference only, every difference a jump, and no jump.
+    rng = np.random.default_rng(dim)
+    sigma = np.diag(rng.uniform(0.5, 2.0, size=dim))
+    samples = scale * rng.normal(size=(n_samples, dim))
+    shape = (n_samples - 1, dim)
+    jumps = {
+        "random": rng.uniform(size=shape) < 0.3,
+        "ends": np.isin(np.arange(n_samples - 1), [0, n_samples - 2])[:, None]
+                & np.ones(shape, dtype=bool),
+        "all": np.ones(shape, dtype=bool),
+        "none": np.zeros(shape, dtype=bool),
+    }[pattern]
+    signs = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
+    return samples, sigma, jumps, signs
+
+
 class TestDiagonalLevels:
     """With a diagonal sigma the partition solve takes each segment's
     level in closed form; a correlated sigma keeps the banded solve."""
@@ -739,28 +778,28 @@ class TestDiagonalLevels:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("pattern", ["random", "ends", "all", "none"])
     def test_levels_match_dense_kkt(self, pattern, dim, scale):
-        # Sign patterns that need not be optimal: random jumps, jumps at
-        # the first and last difference only, every difference a jump,
-        # and no jump.
-        rng = np.random.default_rng(dim)
-        n_samples = 30
-        sigma = np.diag(rng.uniform(0.5, 2.0, size=dim))
-        samples = scale * rng.normal(size=(n_samples, dim))
-        shape = (n_samples - 1, dim)
-        jumps = {
-            "random": rng.uniform(size=shape) < 0.3,
-            "ends": np.isin(np.arange(n_samples - 1), [0, n_samples - 2])[:, None]
-                    & np.ones(shape, dtype=bool),
-            "all": np.ones(shape, dtype=bool),
-            "none": np.zeros(shape, dtype=bool),
-        }[pattern]
-        signs = np.where(rng.uniform(size=shape) < 0.5, -1.0, 1.0)
+        samples, sigma, jumps, signs = diagonal_case(pattern, dim, scale, 30)
         lam = 0.3 * scale
         candidate = _solve_on_partition(np.where(jumps, signs, 0.0), samples,
                                         sigma, lam)
         expected = partition_optimum(samples, sigma, lam, jumps, signs)
         assert np.abs(candidate - expected).max() <= 1e-12 * np.abs(expected).max()
         assert (np.diff(candidate, axis=0)[~jumps] == 0.0).all()
+
+    @pytest.mark.parametrize("n_samples", [1, 2, 30, 1000])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-3, 1.0, 1e3, 1e8])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("pattern", ["random", "ends", "all", "none"])
+    def test_levels_match_per_component_closed_form(self, pattern, dim, scale,
+                                                    n_samples):
+        # All components are solved in one pass; each level must be the
+        # per-component closed form's, bit for bit, in a C-ordered array.
+        samples, sigma, jumps, signs = diagonal_case(pattern, dim, scale, n_samples)
+        signs = np.where(jumps, signs, 0.0)
+        candidate = _solve_on_partition(signs, samples, sigma, 0.3 * scale)
+        expected = diagonal_partition_levels(signs, samples, sigma, 0.3 * scale)
+        assert candidate.flags.c_contiguous
+        assert np.array_equal(candidate.view(np.uint64), expected.view(np.uint64))
 
     @pytest.mark.parametrize("sigma, banded_solves", [
         (np.diag([1.0, 2.0]), 0),

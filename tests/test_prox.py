@@ -82,6 +82,34 @@ class TestProxGaussian:
                 assert np.abs(x[i] - ref).max() < 1e-9
 
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("n_samples", [1, 7, 10000])
+    @pytest.mark.parametrize("kind", ["identity", "diagonal", "correlated"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cache_matches_dense_formula(self, n, kind, n_samples, scale):
+        # Samples at the given scale, sigma at its square and rho at its
+        # inverse, as the mean filter's default rho = lam would be.
+        rng = np.random.default_rng(10 * n + n_samples)
+        sigma = scale ** 2 * {
+            "identity": np.eye(n),
+            "diagonal": np.diag(rng.uniform(0.5, 2.0, size=n)),
+            "correlated": random_spd(rng, n, shift=0.5),
+        }[kind]
+        y = scale * rng.normal(size=(n_samples, n))
+        rho = 0.7 / scale
+        cache = prox.gaussian_prox_cache(sigma, y, rho)
+        sigma_inv = np.linalg.inv(sigma)
+        system_inv = np.linalg.inv(sigma_inv + rho * np.eye(n))
+        expected = {"sigma_inv": sigma_inv, "gain": rho * system_inv,
+                    "offset": (system_inv @ sigma_inv @ y.T).T}
+        for name, want in expected.items():
+            got = getattr(cache, name)
+            assert got.shape == want.shape, name
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+        assert cache.offset.flags.c_contiguous
+        assert np.array_equal(cache.sigma, sigma)
+
+
 class TestSoftThresholdGroup:
     def test_shrink_example(self):
         out = prox.soft_threshold_group(np.array([3.0, 4.0]), 1.0)
