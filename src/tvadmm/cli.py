@@ -132,29 +132,29 @@ def write_matrix_csv(path, arr):
     """Headerless CSV of ``arr``, as ``np.savetxt(fmt="%.17g", delimiter=",")``."""
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     with open(path, "w", encoding="utf-8") as fh:
-        _write_rows(fh, arr, ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n",
-                    g17=True)
+        _write_rows(fh, arr)
 
 
 def write_history_csv(path, history):
     """Write a solver report's ``history`` array under a header row."""
-    # Iteration numbers are integers, exact as floats and printed by %d.
+    # Iteration numbers are whole floats below 1e17, which %.17g prints
+    # exactly as %d does.
     names = HISTORY_DTYPE.names
     table = np.column_stack([np.asarray(history[name], dtype=float)
                              for name in names])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        _write_rows(fh, table, "%d" + ("," + _FLOAT_FMT) * (len(names) - 1) + "\n")
+        _write_rows(fh, table)
 
 
-def _write_rows(fh, arr, row_fmt, g17=False):
-    # One write per block of rows: the text matches np.savetxt's
-    # row-at-a-time output, and memory stays flat. Piecewise-constant
-    # output (synth truth, mean estimates) is mostly long runs of equal
-    # rows, so each run of bit-identical rows in a block is formatted
-    # once and its text repeated. Bits, not ==, decide equality: -0.0
-    # and 0.0 print differently. ``g17`` says that row_fmt is %.17g
-    # throughout, so the vectorized kernel may write distinct rows.
+def _write_rows(fh, arr):
+    # One write per block of rows, each value as %.17g: the text matches
+    # np.savetxt's row-at-a-time output, and memory stays flat.
+    # Piecewise-constant output (synth truth, mean estimates) is mostly
+    # long runs of equal rows, so each run of bit-identical rows in a
+    # block is formatted once and its text repeated. Bits, not ==,
+    # decide equality: -0.0 and 0.0 print differently.
+    row_fmt = ",".join([_FLOAT_FMT] * arr.shape[1]) + "\n"
     rows = max(_WRITE_BLOCK_VALUES // max(arr.shape[1], 1), 1)
     for start in range(0, arr.shape[0], rows):
         block = np.ascontiguousarray(arr[start:start + rows])
@@ -164,7 +164,7 @@ def _write_rows(fh, arr, row_fmt, g17=False):
         if 2 * (len(firsts) + 1) > n_rows:
             # Mostly distinct rows: the kernel, or one format call for
             # the whole block when a value is outside the kernel's range.
-            text = _g17_text(block) if g17 else None
+            text = _g17_text(block)
             if text is None:
                 text = (row_fmt * n_rows) % tuple(block.ravel().tolist())
             fh.write(text)

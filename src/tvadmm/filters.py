@@ -15,7 +15,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import linalg, prox
-from ._lapack import dpbsv
+from ._lapack import dpbtrf, dpbtrs
 from .admm import ChainProblem, SolverConfig, SolverState, solve
 from .exceptions import (NumericalFailureError, UnboundedProblemError,
                          nonnegative_finite, whole_count)
@@ -122,13 +122,13 @@ def mean_filter(data, spec, config=None):
 
     The estimate comes from one active-set loop: a segment partition and
     jump signs define an equality-constrained quadratic problem, solved
-    exactly (in closed form per segment when sigma is diagonal, by one
+    exactly (in closed form per segment when sigma is diagonal, by a
     banded LAPACK solve when it is correlated), and each candidate that
     fails the optimality conditions picks the next partition from its
-    own violations (a primal-dual active-set step), until one
-    certifies, a partition repeats or 50 have been tried. The loop runs
-    before the iteration and, when that finds nothing, once more after
-    it:
+    own violations (a primal-dual active-set step), until one certifies
+    or a partition repeats or 50 have been tried (a correlated sigma then
+    re-solves the last with one refinement step). The loop runs before
+    the iteration and, when that finds nothing, once more after it:
 
     - the start takes each component's exact 1-D total variation
       partition with weight ``sigma[c, c] * lam`` (Condat's direct
@@ -409,19 +409,24 @@ def _active_set(signs, samples, sigma, sigma_inv, lam):
     # and a free multiplier outside [-lam, lam] becomes a jump of its
     # sign. The candidate's free differences are exactly 0 and its jump
     # multipliers exactly +-lam, so the step needs no scaling constant.
-    # Stops on a certificate, a repeated pattern, a failed solve or
-    # _MAX_PATTERNS patterns. Returns (candidate, P, gap) on a
-    # certificate, else (None, None, the first candidate's gap), the gap
-    # inf when that solve failed.
+    # Stops on a certificate, a failed solve or a stall (a repeated
+    # pattern or _MAX_PATTERNS patterns); a correlated sigma's solve may
+    # leave P inexact, so its stall first re-solves the last tried signs
+    # with one correction. Returns (candidate, P, gap) on a certificate,
+    # else (None, None, the first candidate's gap), the gap inf when that
+    # solve failed.
     tried = set()
     gaps = []
     weighted = float(np.abs(np.dot(samples, sigma_inv)).sum())
-    while len(tried) < _MAX_PATTERNS:
+    refined = ()  # (1,), one correction, once a stall asks for it
+    while True:
         pattern = signs.tobytes()
-        if pattern in tried:
-            break
+        if pattern in tried or len(tried) == _MAX_PATTERNS:
+            if np.count_nonzero(sigma) == sigma.shape[0]:
+                break
+            signs, refined = last, (1,)
         tried.add(pattern)
-        candidate = _solve_on_partition(signs, samples, sigma, lam)
+        candidate = _solve_on_partition(signs, samples, sigma, lam, *refined)
         if candidate is None:
             gaps.append(np.inf)
             break
@@ -430,84 +435,79 @@ def _active_set(signs, samples, sigma, sigma_inv, lam):
         if gap <= slack:
             return candidate, multipliers, gap
         gaps.append(gap)
+        if refined:
+            break
+        last = signs
         heights = signs * (candidate[1:] - candidate[:-1])
         signs = np.where(heights > 0.0, signs, np.where(
             (signs == 0.0) & (np.abs(multipliers) > lam), np.sign(multipliers), 0.0))
     return None, None, gaps[0]
 
 
-def _solve_on_partition(signs, samples, sigma, lam):
+def _solve_on_partition(signs, samples, sigma, lam, corrections=0):
     # The candidate whose differences are zero wherever signs, the
     # (N - 1, n) jump signs, is 0. Its multipliers P (one row per
     # difference) give x = y + (P_j - P_{j-1}) sigma, with P_0 = P_N = 0,
-    # and P is fixed to lam * signs at the jumps (A).
-    #
+    # and P is fixed to lam * signs at the jumps (A). Each level is its
+    # segment's total of x over its length, all components in one pass,
+    # flattened column by column; `entering` (0 at each column's start
+    # and in a trailing slot) holds the sign s_in of the jump entering
+    # each segment at its start, and so s_out at the next one's.
     # A diagonal sigma (the only kind with one component) decouples the
-    # components: summing x over a segment telescopes to its sum of y
-    # plus sigma[c, c] * lam * (s_out - s_in) (its turn), with s_out and
-    # s_in the signs of the jumps leaving and entering it (0 at the
-    # series ends), so each level is that over the segment's length.
-    # One pass serves all components, flattened column by column, where
-    # `entering` (0 at each column's start and in a trailing slot) holds
-    # s_in at each segment's start, and so s_out at the next one's.
-    #
-    # Otherwise the free multipliers (I) make r vanish inside the
-    # segments:
-    #     ((D D^T) (x) sigma)_II P_I = (Dy)_I - (((D D^T) (x) sigma) P_A)_I.
-    # In (k, c) row-major order this is banded SPD with half-bandwidth
-    # 2n - 1; rows and columns of A become identity rows holding P_A.
-    # Returns None when LAPACK finds the system not positive definite.
+    # components: a segment's total telescopes to its sum of y plus
+    # sigma[c, c] * lam * (s_out - s_in) (s = 0 at the series ends).
+    # Otherwise the free multipliers (I) zero x's differences inside the
+    # segments: r(P)_I = (Dy - K P)_I = 0, K = (D D^T) (x) sigma. From
+    # P = lam * signs each step adds the solution of K_II dP_I = r(P)_I,
+    # the first solving the system and `corrections` more refining it.
+    # K_II, banded SPD in (k, c) row-major order with half-bandwidth
+    # 2n - 1, is factored once, with identity rows and columns on A.
+    # Returns None when LAPACK finds it not positive definite.
     n_samples, dim = samples.shape
+    entering = np.zeros(dim * n_samples + 1)
+    entering[:-1].reshape(dim, n_samples)[:, 1:] = signs.T
+    cut = entering != 0.0
+    cut[::n_samples] = True
+    bounds = np.flatnonzero(cut)
+    starts = bounds[:-1]
+    lengths = bounds[1:] - starts
     if np.count_nonzero(sigma) == dim:
-        entering = np.zeros(dim * n_samples + 1)
-        entering[:-1].reshape(dim, n_samples)[:, 1:] = signs.T
-        cut = entering != 0.0
-        cut[::n_samples] = True
-        bounds = np.flatnonzero(cut)
-        starts = bounds[:-1]
-        lengths = bounds[1:] - starts
         edge = entering[bounds]
-        levels = (np.add.reduceat(samples.T.ravel(), starts)
+        totals = (np.add.reduceat(samples.T.ravel(), starts)
                   + (np.diagonal(sigma) * lam)[starts // n_samples]
-                  * (edge[1:] - edge[:-1])) / lengths
-        return np.ascontiguousarray(np.repeat(levels, lengths).reshape(dim, n_samples).T)
+                  * (edge[1:] - edge[:-1]))
+    else:
+        jumps = signs != 0.0
 
-    jumps = signs != 0.0
-    edge = np.zeros((1, dim))
+        def estimate(multipliers):  # P_0 .. P_N, both ends 0
+            return samples + np.diff(multipliers, axis=0) @ sigma
 
-    def estimate(multipliers):
-        steps = np.diff(multipliers, axis=0, prepend=edge, append=edge)
-        return samples + steps @ sigma
+        def residual(multipliers):  # r(P), 0 on the jumps
+            return np.where(jumps, 0.0, np.diff(estimate(multipliers), axis=0)).ravel()
 
-    fixed = lam * signs
-    # The differences of the estimate from P_A alone are Dy - K P_A.
-    rhs = np.where(jumps, fixed, np.diff(estimate(fixed), axis=0)).ravel()
-
-    # Lower band storage: band[u, j] = K[j + u, j] for K = (D D^T) (x) sigma,
-    # whose entry at (k, c), (k', c') is (D D^T)[k, k'] sigma[c, c'].
-    offsets = np.arange(2 * dim)[:, None] + np.arange(dim)
-    pattern = np.select([offsets < dim, offsets < 2 * dim], [2.0, -1.0])
-    pattern = pattern * sigma[offsets % dim, np.arange(dim)]
-    band = np.tile(pattern, (1, n_samples - 1))
-    # Keep band[u, j] only where multipliers j and j + u are both free.
-    free = ~jumps.ravel()
-    reach = np.concatenate((free, np.zeros(2 * dim, dtype=bool)))
-    for u in range(2 * dim):
-        band[u] *= free & reach[u:u + free.size]
-    band[0, ~free] = 1.0
-    _, multipliers, info = dpbsv(band, rhs, lower=True)
-    if info != 0:
-        return None
-    multipliers = multipliers.reshape(n_samples - 1, dim)
-
-    # Averaging each component over its segments makes r exactly 0 there.
-    labels = np.concatenate((np.zeros((1, dim), dtype=np.int64),
-                             np.cumsum(jumps, axis=0)))
-    labels += np.concatenate(([0], np.cumsum(labels[-1] + 1)[:-1]))
-    flat = labels.ravel()
-    solved = estimate(multipliers).ravel()
-    levels = np.bincount(flat, weights=solved) / np.bincount(flat)
-    return levels[labels]
+        # Lower band storage: band[u, j] = K[j + u, j], whose entry at
+        # (k, c), (k', c') is (D D^T)[k, k'] sigma[c, c'].
+        offsets = np.arange(2 * dim)[:, None] + np.arange(dim)
+        pattern = np.select([offsets < dim, offsets < 2 * dim], [2.0, -1.0])
+        pattern = pattern * sigma[offsets % dim, np.arange(dim)]
+        band = np.tile(pattern, (1, n_samples - 1))
+        # Keep band[u, j] only where multipliers j and j + u are both free.
+        free = ~jumps.ravel()
+        reach = np.concatenate((free, np.zeros(2 * dim, dtype=bool)))
+        for u in range(2 * dim):
+            band[u] *= free & reach[u:u + free.size]
+        band[0, ~free] = 1.0
+        factor, info = dpbtrf(band, lower=True)
+        if info != 0:
+            return None
+        multipliers = np.zeros((n_samples + 1, dim))
+        multipliers[1:-1] = lam * signs
+        for _ in range(1 + corrections):
+            step = dpbtrs(factor, residual(multipliers), lower=True)[0]
+            multipliers[1:-1] += step.reshape(n_samples - 1, dim)
+        totals = np.add.reduceat(estimate(multipliers).T.ravel(), starts)
+    return np.ascontiguousarray(
+        np.repeat(totals / lengths, lengths).reshape(dim, n_samples).T)
 
 
 def _mean_certificate(x, samples, sigma_inv, lam, weighted):

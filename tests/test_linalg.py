@@ -194,8 +194,9 @@ def test_spd_inverse_and_logdet():
 
 # Run in a fresh interpreter: prints where tvadmm._lapack took its
 # routines from and a digest of one projection, one Cholesky factor and
-# solve and one mean filter (whose start solves with dpbsv), computed
-# before and after scipy.linalg is imported. With an argument, scipy's
+# solve and two mean filters, computed before and after scipy.linalg is
+# imported: a scalar series, and the correlated-sigma series whose start
+# factors and solves with dpbtrf and dpbtrs. With an argument, scipy's
 # folder is taken to be that directory, which holds no _flapack.
 _LAPACK_PROBE = """
 import hashlib, json, os, sys
@@ -222,11 +223,17 @@ def digests():
     x = linalg.spd_solve(factor, rng.normal(size=(3, 2)))
     data, _, _ = generate_piecewise_data(63)
     spec = tvadmm.MeanFilterSpec(lam=0.1 * tvadmm.lambda_max_mean(data))
-    est, rep = tvadmm.mean_filter(data, spec)
-    fields = repr((rep.iterations, rep.converged, rep.polished,
-                   rep.certificate_gap)).encode()
-    return {"project": sha(chol.band, z, s), "spd": sha(factor, x),
-            "mean": sha(est, rep.history, rep.objective_trace, fields)}
+    data2, _, _ = generate_piecewise_data(63, n_samples=400, dim=2)
+    sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+    lam = 0.1 * tvadmm.lambda_max_mean(data2, sigma, "elementwise")
+    spec2 = tvadmm.MeanFilterSpec(lam=lam, penalty="elementwise", sigma=sigma)
+    means = {}
+    for name, series, sp in (("mean", data, spec), ("banded", data2, spec2)):
+        est, rep = tvadmm.mean_filter(series, sp)
+        fields = repr((rep.iterations, rep.converged, rep.polished,
+                       rep.certificate_gap)).encode()
+        means[name] = sha(est, rep.history, rep.objective_trace, fields)
+    return {"project": sha(chol.band, z, s), "spd": sha(factor, x), **means}
 
 loaded = sorted(m for m in sys.modules if m.startswith("scipy.linalg"))
 before = digests()
